@@ -5,20 +5,19 @@ from .grid import (BusSpec, GeneratorSpec, GridConfigError, GridModel,
                    IslandingError, LineSpec, build_full_susceptance_matrix,
                    build_susceptance_matrix, ieee39, line_flows_mw,
                    load_grid_config, solve_dc_flow)
-from .machines import (HydroGovState, HydroParams, MachineState, SteamGovState,
-                       SteamParams, hydro_governor_step, hydro_init,
-                       hydro_turbine_step, steam_governor_step, steam_init,
-                       steam_turbine_step, swing_step)
+from .machines import (HydroGovState, HydroParams, SteamGovState, SteamParams,
+                       hydro_governor_step, hydro_init, hydro_turbine_step,
+                       steam_governor_step, steam_init, steam_turbine_step)
 from .profiles import (MinuteSeries, NoiseParams, SecondSeries,
                        make_load_profile, resample_wind, scale_wind)
 from .dispatch import (ErrorCdf, ideal_battery_injection, perturb_injection,
-                       placeholder_error_cdf, sample_error, zero_error_cdf)
-from .protection import (FrequencyEstimator, UflsRelayState,
-                         estimate_bus_frequency,
+                       placeholder_error_cdf, zero_error_cdf)
+from .protection import (UflsRelayState, estimate_frequency,
                          restoration_level_for_frequency,
                          shed_level_for_frequency, ufls_step)
 from .engine import (ContingencyEvent, Scenario, ScenarioError, SimParams,
-                     Trajectory, build_profiles, load_scenario, run_scenario)
+                     Trajectory, build_profiles, load_scenario, run_ensemble,
+                     run_scenario)
 from .metrics import (CaseComparison, Metrics, compare_cases, compute_metrics,
                       export_results, format_comparison, load_metrics)
 

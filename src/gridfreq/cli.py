@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -72,9 +73,7 @@ def cmd_run(args) -> int:
         for p in scenario_paths:
             sc = engine.load_scenario(p)
             if seed is not None:
-                sc = engine.Scenario(name=sc.name, case=sc.case, events=sc.events,
-                                     duration_s=sc.duration_s, dt_s=sc.dt_s,
-                                     seed=int(seed), output_dt_s=sc.output_dt_s)
+                sc = dataclasses.replace(sc, seed=int(seed))
             sc.validate_against(model)
             scenarios.append(sc)
     except (grid.GridConfigError, engine.ScenarioError, OSError) as exc:

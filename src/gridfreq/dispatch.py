@@ -11,6 +11,7 @@ and by default no energy or power constraint.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +60,8 @@ class ErrorCdf:
             raise CdfError("cumulative probabilities must span 0 to 1")
 
     def sample(self, rng: np.random.Generator, n: int | None = None):
-        """Inverse-transform sampling with linear interpolation."""
+        """Inverse-transform sampling with linear interpolation;
+        deterministic for a given generator state."""
         if self.eps.size == 1:
             val = self.eps[0]
             return float(val) if n is None else np.full(n, val)
@@ -84,11 +86,6 @@ class ErrorCdf:
         return cls(eps=np.array(eps), prob=np.array(prob))
 
 
-def sample_error(cdf: ErrorCdf, rng: np.random.Generator, n: int | None = None):
-    """Draw tracking-error samples; deterministic for a given generator state."""
-    return cdf.sample(rng, n)
-
-
 def zero_error_cdf() -> ErrorCdf:
     """Ideal tracking: error identically zero."""
     return ErrorCdf(eps=np.array([0.0]), prob=np.array([1.0]))
@@ -103,11 +100,6 @@ def placeholder_error_cdf() -> ErrorCdf:
     """
     eps = np.linspace(-0.05, 0.05, 41)
     z = eps / 0.015
-    prob = 0.5 * (1.0 + np.vectorize(_erf)(z / np.sqrt(2.0)))
+    prob = 0.5 * (1.0 + np.vectorize(math.erf)(z / np.sqrt(2.0)))
     prob = (prob - prob[0]) / (prob[-1] - prob[0])
     return ErrorCdf(eps=eps, prob=prob)
-
-
-def _erf(x: float) -> float:
-    import math
-    return math.erf(x)

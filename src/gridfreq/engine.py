@@ -5,7 +5,10 @@ Integration uses a fixed step (default 10 ms): swing and penstock states
 advance by 4th-order explicit stages, all scalar lags by exact
 discretization.  Profiles have 1 s resolution and are held constant
 within each second.  A scenario run is fully determined by
-(grid config, scenario, seed) and replays bit-identically.
+(grid config, scenario, seed) and replays bit-identically.  Scenarios
+that share an event schedule can run as one ensemble, stepped side by
+side through one factorization; each member's trajectory is bit for bit
+its solo run's.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +27,10 @@ import yaml
 from . import dispatch as dispatch_mod
 from . import machines as mach
 from .grid import GridModel, GridConfigError, IslandingError, build_full_susceptance_matrix, solve_dc_flow, build_susceptance_matrix
-from .profiles import (MinuteSeries, NoiseParams, SecondSeries,
+from .profiles import (NoiseParams, ProfileError, SecondSeries,
                        resample_wind, scale_wind, make_load_profile,
                        synthetic_minute_walk, synthetic_second_multiplier)
-from .protection import UflsRelayState, ufls_step
+from .protection import UflsRelayState, estimate_frequency, ufls_step
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +60,14 @@ class Scenario:
             raise ScenarioError(f"scenario {self.name}: case must be 'A' or 'B'")
         if self.duration_s <= 0 or self.dt_s <= 0:
             raise ScenarioError(f"scenario {self.name}: nonpositive duration or dt")
+        steps = self.duration_s / self.dt_s
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ScenarioError(f"scenario {self.name}: dt_s {self.dt_s} does not "
+                                f"divide duration_s {self.duration_s}")
+        dec = self.output_dt_s / self.dt_s
+        if round(dec) < 1 or abs(dec - round(dec)) > 1e-9 * dec:
+            raise ScenarioError(f"scenario {self.name}: output_dt_s {self.output_dt_s} "
+                                f"is not a whole multiple of dt_s {self.dt_s}")
         for ev in self.events:
             if not 0.0 <= ev.time_s <= self.duration_s:
                 raise ScenarioError(
@@ -137,65 +148,6 @@ class SimParams:
 
 
 # ---------------------------------------------------------------------------
-# internal per-machine container
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Machine:
-    gen_id: str
-    kind: str
-    bus_idx: int
-    rating: float
-    h: float
-    d: float
-    b_coupling: float               # p.u. on system base
-    p_set: float                    # machine p.u.
-    params: object                  # SteamParams | HydroParams
-    gov: object                     # SteamGovState | HydroGovState
-    state: mach.MachineState = field(default_factory=mach.MachineState)
-    p_elec: float = 0.0             # last electrical power, machine p.u.
-
-
-@dataclass
-class SystemState:
-    """Mutable simulation state owned by one scenario run."""
-
-    model: GridModel
-    params: SimParams
-    machines: list[_Machine]
-    relays: list[UflsRelayState]
-    load_bus_idx: np.ndarray
-    theta: np.ndarray               # current bus angles, rad
-    bus_pos: dict[int, int] = field(default_factory=dict)
-    clock: float = 0.0
-    _inj_cache: tuple | None = None
-    # frequency estimator bank (vectorized per-bus low-pass on d(theta)/dt)
-    est_prev_theta: np.ndarray | None = None
-    est_filt: np.ndarray | None = None
-    freq: np.ndarray | None = None
-    # cached factorization of the augmented susceptance matrix
-    _b_aug_lu: object = None
-    _b_full: sp.csr_matrix = None
-    max_residual: float = 0.0
-
-    def online_machines(self) -> list[_Machine]:
-        return [m for m in self.machines if m.state.online]
-
-    def refactorize(self) -> None:
-        n = len(self.model.buses)
-        diag = np.zeros(n)
-        for m in self.machines:
-            if m.state.online:
-                diag[m.bus_idx] += m.b_coupling
-        b_aug = (self._b_full + sp.diags(diag)).tocsc()
-        try:
-            self._b_aug_lu = spla.splu(b_aug)
-        except RuntimeError as exc:
-            raise IslandingError(f"network solve singular: {exc}") from exc
-        self._b_aug = b_aug
-
-
-# ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
 
@@ -246,7 +198,7 @@ def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
         if b.wind_mw is not None:
             wind_sched[b.id] = b.wind_mw * params.wind_schedule_pu
             if "wind" in ov:
-                wind_mw[b.id] = ov["wind"]
+                wind_mw[b.id] = _checked_override(ov["wind"], n_seconds, b.id)
             elif params.deterministic_profiles:
                 vals = np.full(n_seconds, wind_sched[b.id])
                 wind_mw[b.id] = SecondSeries(values=vals, kind="wind", bus=b.id,
@@ -264,7 +216,7 @@ def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
             forecast = b.load_mw * params.load_scale
             load_sched[b.id] = forecast
             if "load" in ov:
-                load_mw[b.id] = ov["load"]
+                load_mw[b.id] = _checked_override(ov["load"], n_seconds, b.id)
             elif params.deterministic_profiles:
                 vals = np.ones(n_seconds)
                 load_mw[b.id] = make_load_profile(
@@ -278,12 +230,19 @@ def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
                 load_mw[b.id] = make_load_profile(mult, forecast, bus=b.id)
         if b.dispatched:
             rng = np.random.default_rng(_bus_seed(scenario.seed, b.id, 4))
-            eps[b.id] = np.asarray(
-                dispatch_mod.sample_error(cdf, rng, n_seconds), dtype=float)
+            eps[b.id] = np.asarray(cdf.sample(rng, n_seconds), dtype=float)
 
     return ProfileSet(wind_mw=wind_mw, load_mw=load_mw,
                       wind_sched_mw=wind_sched, load_sched_mw=load_sched,
                       battery_eps=eps)
+
+
+def _checked_override(series: SecondSeries, n_seconds: int,
+                      bus: int) -> SecondSeries:
+    if len(series) < n_seconds or not np.all(np.isfinite(series.values)):
+        raise ProfileError(f"bus {bus}: a profile override needs {n_seconds} "
+                           f"finite 1-s samples, got {len(series)} samples")
+    return series
 
 
 def _resolve_error_cdf(params: SimParams) -> dispatch_mod.ErrorCdf:
@@ -292,6 +251,97 @@ def _resolve_error_cdf(params: SimParams) -> dispatch_mod.ErrorCdf:
     if params.error_cdf == "placeholder":
         return dispatch_mod.placeholder_error_cdf()
     return dispatch_mod.ErrorCdf.from_csv(params.error_cdf)
+
+
+# ---------------------------------------------------------------------------
+# system state: flat per-member arrays and per-kind governor banks
+# ---------------------------------------------------------------------------
+
+def _select(bank, keep: np.ndarray):
+    """Parameters or governor state of a bank restricted to the entries
+    ``keep``; a scalar field is shared by every entry."""
+    return replace(bank, **{f.name: np.broadcast_to(getattr(bank, f.name),
+                                                    keep.shape)[keep]
+                            for f in fields(bank)})
+
+
+@dataclass
+class _Bank:
+    """The online units of one machine kind in every member: their
+    positions in the flat machine arrays, parameters and governor state,
+    each field an array over those entries or a scalar they share."""
+
+    idx: np.ndarray
+    params: object                  # SteamParams | HydroParams
+    gov: object                     # SteamGovState | HydroGovState
+
+    def drop(self, g: int, n_gen: int) -> None:
+        """Remove generator ``g`` (model position) from every member."""
+        keep = self.idx % n_gen != g
+        self.idx = self.idx[keep]
+        self.params = _select(self.params, keep)
+        self.gov = _select(self.gov, keep)
+
+
+@dataclass
+class SystemState:
+    """Mutable state of members that share grid, parameters and events.
+
+    Per-machine and per-bus arrays are flat and member-major (entry
+    ``m * n_gen + g`` is generator ``g`` of member ``m``); per-second
+    injection arrays have one row per profile second and, member-major,
+    one column per bus of their kind.
+    """
+
+    model: GridModel
+    params: SimParams
+    n_members: int
+    gen_bus: np.ndarray             # flat bus position of each machine
+    rating: np.ndarray              # MVA
+    h: np.ndarray                   # inertia, s on machine base
+    d: np.ndarray                   # damping, machine p.u.
+    b_coupling: np.ndarray          # p.u. on system base
+    delta: np.ndarray               # rotor angle, rad
+    speed_dev: np.ndarray           # speed deviation, p.u.
+    p_mech: np.ndarray              # mechanical power, machine p.u. (0 once tripped)
+    p_elec: np.ndarray              # last electrical power, machine p.u.
+    online: np.ndarray              # bool; a trip takes a generator off in every member
+    banks: dict[str, _Bank]         # governor bank per kind: 'thermal', 'hydro'
+    relays: list[UflsRelayState]    # one per load bus of each member
+    load_bus_idx: np.ndarray        # flat bus positions
+    load_mw: np.ndarray             # expected (pre-shed) load
+    wind_bus_idx: np.ndarray
+    wind_mw: np.ndarray
+    battery_bus_idx: np.ndarray     # dispatched buses
+    battery_mw: np.ndarray          # zero in case A
+    est_filt: np.ndarray            # filtered d(theta)/dt per bus, rad/s
+    freq: np.ndarray                # estimated bus frequencies, Hz
+    max_residual: np.ndarray        # largest solve residual per member
+    _b_full: sp.csr_matrix
+    theta: np.ndarray | None = None     # bus angles of the last solve, rad
+    clock: float = 0.0
+    # cached factorization of the augmented susceptance matrix
+    _b_aug_lu: object = None
+
+    def refactorize(self) -> None:
+        n_gen = len(self.model.generators)
+        on = self.online[:n_gen]
+        diag = np.zeros(len(self.model.buses))
+        diag[self.gen_bus[:n_gen][on]] += self.b_coupling[:n_gen][on]
+        b_aug = (self._b_full + sp.diags(diag)).tocsc()
+        try:
+            self._b_aug_lu = spla.splu(b_aug)
+        except RuntimeError as exc:
+            raise IslandingError(f"network solve singular: {exc}") from exc
+        self._b_aug = b_aug
+
+    def per_member(self, flat: np.ndarray) -> np.ndarray:
+        """A flat per-bus or per-machine array as one row per member."""
+        return flat.reshape(self.n_members, -1)
+
+    def shed_levels(self) -> np.ndarray:
+        """Committed shed fraction per load bus, flat like ``load_bus_idx``."""
+        return np.array([r.level for r in self.relays])
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +360,45 @@ def _machine_params(gen, params: SimParams):
                                 droop_on_power=params.hydro_droop_on_power)
         mp = replace(base, **{k: v for k, v in ov.items()
                               if k in {f.name for f in fields(mach.HydroParams)}})
+        mp = replace(mp, a_t=mp.turbine_gain)
         h = float(ov.get("h", params.h_hydro))
     d = float(ov.get("d", params.damping))
     x = float(ov.get("coupling_x", params.coupling_x))
     return mp, h, d, x
 
 
-def init_system(model: GridModel, scenario: Scenario, params: SimParams,
-                profiles: ProfileSet) -> SystemState:
+def _stack(cls, units: list):
+    """Array-valued ``cls`` parameters with one element per unit."""
+    return cls(**{f.name: np.array([getattr(u, f.name) for u in units])
+                  for f in fields(cls)})
+
+
+def _per_second(values: list[np.ndarray], n_seconds: int) -> np.ndarray:
+    out = np.empty((n_seconds, len(values)))
+    for j, v in enumerate(values):
+        out[:, j] = v[:n_seconds]
+    return out
+
+
+def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
+                profiles: list[ProfileSet]) -> SystemState:
     """Dispatch generation to the forecast operating point and build the
-    equilibrium system state."""
+    equilibrium state of one member per (scenario, profiles) pair.
+
+    The scenarios share their duration.  The forecast operating point
+    depends only on the grid and the parameters, so every member starts
+    from the same equilibrium.
+    """
+    if not scenarios or len(profiles) != len(scenarios):
+        raise ScenarioError(f"{len(scenarios)} scenarios and {len(profiles)} "
+                            f"profile sets: need one per member, at least one")
     n = len(model.buses)
+    n_members = len(scenarios)
     idx = {b.id: i for i, b in enumerate(model.buses)}
 
-    total_load = sum(profiles.load_sched_mw.values())
-    total_wind = sum(profiles.wind_sched_mw.values())
+    sched = profiles[0]
+    total_load = sum(sched.load_sched_mw.values())
+    total_wind = sum(sched.wind_sched_mw.values())
     gens = model.generators
     total_rating = sum(g.rating_mva for g in gens)
     p_conv = total_load - total_wind
@@ -333,9 +407,9 @@ def init_system(model: GridModel, scenario: Scenario, params: SimParams,
     loading = p_conv / total_rating          # identical machine p.u. set-point
 
     inj = np.zeros(n)
-    for bus, w in profiles.wind_sched_mw.items():
+    for bus, w in sched.wind_sched_mw.items():
         inj[idx[bus]] += w
-    for bus, l in profiles.load_sched_mw.items():
+    for bus, l in sched.load_sched_mw.items():
         inj[idx[bus]] -= l
     for g in gens:
         inj[idx[g.bus]] += loading * g.rating_mva
@@ -343,36 +417,73 @@ def init_system(model: GridModel, scenario: Scenario, params: SimParams,
     b_red = build_susceptance_matrix(model)
     theta0 = solve_dc_flow(b_red, inj, model)
 
-    machines = []
-    for g in gens:
-        mp, h, d, x = _machine_params(g, params)
-        b_coupling = g.rating_mva / (x * model.base_mva)
-        p_set = loading
-        reserve = params.reserve_fraction * p_set
-        if g.kind == "thermal":
-            gov = mach.steam_init(p_set, mp, reserve)
-        else:
-            gov = mach.hydro_init(p_set, mp, reserve)
-        p_e_sys = loading * g.rating_mva / model.base_mva
-        delta = theta0[idx[g.bus]] + p_e_sys / b_coupling
-        machines.append(_Machine(
-            gen_id=g.id, kind=g.kind, bus_idx=idx[g.bus], rating=g.rating_mva,
-            h=h, d=d, b_coupling=b_coupling, p_set=p_set, params=mp, gov=gov,
-            state=mach.MachineState(delta=delta, speed_dev=0.0, p_mech=p_set),
-            p_elec=p_set))
+    mp, h, d, x = zip(*(_machine_params(g, params) for g in gens))
+    h, d, x = np.array(h), np.array(d), np.array(x)
+    if np.any(h <= 0):
+        raise GridConfigError("inertia constant must be positive")
+    rating = np.array([g.rating_mva for g in gens])
+    gen_bus = np.array([idx[g.bus] for g in gens], dtype=int)
+    b_coupling = rating / (x * model.base_mva)
+    p_e_sys = loading * rating / model.base_mva
+    delta = theta0[gen_bus] + p_e_sys / b_coupling
 
-    relays = [UflsRelayState(bus=b.id, f0=model.f0, delay=params.ufls_delay,
-                             restore_delay=params.ufls_restore_delay)
-              for b in model.load_buses]
-    load_bus_idx = np.array([idx[b.id] for b in model.load_buses], dtype=int)
+    def flat(positions, width: int) -> np.ndarray:
+        """``positions`` within one member, repeated for every member."""
+        return np.array([m * width + i for m in range(n_members)
+                         for i in positions], dtype=int)
 
-    state = SystemState(model=model, params=params, machines=machines,
-                        relays=relays, load_bus_idx=load_bus_idx,
-                        theta=theta0.copy(), bus_pos=idx,
-                        _b_full=build_full_susceptance_matrix(model))
-    state.est_prev_theta = None
-    state.est_filt = np.zeros(n)
-    state.freq = np.full(n, model.f0)
+    reserve = params.reserve_fraction * loading
+    banks = {}
+    for kind, cls, gov_init in (("thermal", mach.SteamParams, mach.steam_init),
+                                ("hydro", mach.HydroParams, mach.hydro_init)):
+        units = [j for j, g in enumerate(gens) if g.kind == kind]
+        bank_params = _stack(cls, [mp[j] for _ in range(n_members) for j in units])
+        banks[kind] = _Bank(idx=flat(units, len(gens)), params=bank_params,
+                            gov=gov_init(np.full(n_members * len(units), loading),
+                                         bank_params, reserve))
+
+    # per-second non-machine injections; batteries act in case B only
+    n_seconds = int(math.ceil(scenarios[0].duration_s)) + 2
+    dispatched = [b.id for b in model.buses if b.dispatched]
+    battery = np.zeros((n_seconds, n_members * len(dispatched)))
+    for m, (sc, prof) in enumerate(zip(scenarios, profiles)):
+        for j, bus in enumerate(dispatched if sc.case == "B" else ()):
+            w_ts = (prof.wind_mw[bus].values[:n_seconds]
+                    if bus in prof.wind_mw else 0.0)
+            l_ts = (prof.load_mw[bus].values[:n_seconds]
+                    if bus in prof.load_mw else 0.0)
+            b_star = dispatch_mod.ideal_battery_injection(
+                prof.wind_sched_mw.get(bus, 0.0),
+                prof.load_sched_mw.get(bus, 0.0), w_ts, l_ts)
+            battery[:, m * len(dispatched) + j] = dispatch_mod.perturb_injection(
+                b_star, prof.battery_eps[bus][:n_seconds])
+    cap = params.battery_power_cap_mw
+    if cap is not None:
+        np.clip(battery, -cap, cap, out=battery)
+    n_gen = len(gens)
+    state = SystemState(
+        model=model, params=params, n_members=n_members,
+        gen_bus=flat(gen_bus, n), rating=np.tile(rating, n_members),
+        h=np.tile(h, n_members), d=np.tile(d, n_members),
+        b_coupling=np.tile(b_coupling, n_members),
+        delta=np.tile(delta, n_members), speed_dev=np.zeros(n_members * n_gen),
+        p_mech=np.full(n_members * n_gen, loading),
+        p_elec=np.full(n_members * n_gen, loading),
+        online=np.ones(n_members * n_gen, dtype=bool), banks=banks,
+        relays=[UflsRelayState(bus=b.id, f0=model.f0, delay=params.ufls_delay,
+                               restore_delay=params.ufls_restore_delay)
+                for _ in profiles for b in model.load_buses],
+        load_bus_idx=flat([idx[b.id] for b in model.load_buses], n),
+        load_mw=_per_second([p.load_mw[b.id].values for p in profiles
+                             for b in model.load_buses], n_seconds),
+        wind_bus_idx=flat([idx[b.id] for b in model.wind_buses], n),
+        wind_mw=_per_second([p.wind_mw[b.id].values for p in profiles
+                             for b in model.wind_buses], n_seconds),
+        battery_bus_idx=flat([idx[bus] for bus in dispatched], n),
+        battery_mw=battery,
+        est_filt=np.zeros(n_members * n), freq=np.full(n_members * n, model.f0),
+        max_residual=np.zeros(n_members),
+        _b_full=build_full_susceptance_matrix(model))
     state.refactorize()
     return state
 
@@ -381,185 +492,124 @@ def init_system(model: GridModel, scenario: Scenario, params: SimParams,
 # stepping
 # ---------------------------------------------------------------------------
 
-def _injections_mw(state: SystemState, profiles: ProfileSet, case: str,
-                   sec: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, float]]:
-    """Net non-machine bus injections plus load bookkeeping for one second.
-
-    Cached per (second, shed levels): profiles are zero-order held within
-    each second, so the result only changes when a relay acts.
-    """
-    key = (sec, case, tuple(r.level for r in state.relays))
-    cached = getattr(state, "_inj_cache", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    model = state.model
-    idx = state.bus_pos
-    n = len(model.buses)
-    inj = np.zeros(n)
-    expected = np.empty(len(model.load_buses))
-    served = np.empty(len(model.load_buses))
-    battery: dict[int, float] = {}
-
-    shed = {r.bus: r.level for r in state.relays}
-    for j, b in enumerate(model.load_buses):
-        exp_mw = profiles.load_mw[b.id].at(sec)
-        srv_mw = exp_mw * (1.0 - shed.get(b.id, 0.0))
-        expected[j] = exp_mw
-        served[j] = srv_mw
-        inj[idx[b.id]] -= srv_mw
-    for b in model.wind_buses:
-        inj[idx[b.id]] += profiles.wind_mw[b.id].at(sec)
-    if case == "B":
-        cap = state.params.battery_power_cap_mw
-        for b in model.buses:
-            if not b.dispatched:
-                continue
-            w_sched = profiles.wind_sched_mw.get(b.id, 0.0)
-            l_sched = profiles.load_sched_mw.get(b.id, 0.0)
-            w_ts = profiles.wind_mw[b.id].at(sec) if b.id in profiles.wind_mw else 0.0
-            l_ts = profiles.load_mw[b.id].at(sec) if b.id in profiles.load_mw else 0.0
-            b_star = float(dispatch_mod.ideal_battery_injection(
-                w_sched, l_sched, w_ts, l_ts))
-            b_mw = float(dispatch_mod.perturb_injection(
-                b_star, profiles.battery_eps[b.id][sec]))
-            if cap is not None:
-                b_mw = min(max(b_mw, -cap), cap)
-            battery[b.id] = b_mw
-            inj[idx[b.id]] += b_mw
-    result = (inj, expected, served, battery)
-    state._inj_cache = (key, result)
-    return result
-
-
-def step_system(state: SystemState, profiles: ProfileSet, case: str,
-                dt: float) -> dict:
-    """Advance the whole system one step; returns per-step records.
+def step_system(state: SystemState, dt: float) -> dict:
+    """Advance every member one step; returns per-step records, each the
+    largest over the members.
 
     Order: profile values -> shed application -> network solve ->
     electrical powers -> machine dynamics -> frequency estimation -> relays.
     """
     model = state.model
+    base = model.base_mva
     sec = int(state.clock)
-    inj, expected, served, battery = _injections_mw(state, profiles, case, sec)
+    # net non-machine bus injections, accumulated load, wind, battery
+    inj = np.zeros(len(state.freq))
+    inj[state.load_bus_idx] -= state.load_mw[sec] * (1.0 - state.shed_levels())
+    inj[state.wind_bus_idx] += state.wind_mw[sec]
+    inj[state.battery_bus_idx] += state.battery_mw[sec]
+    p_inj = inj / base
 
-    rhs = inj / model.base_mva
-    for m in state.machines:
-        if m.state.online:
-            rhs[m.bus_idx] += m.b_coupling * m.state.delta
-    theta = state._b_aug_lu.solve(rhs)
-    if not np.all(np.isfinite(theta)):
+    def solve(rhs):
+        # one right-hand side per member
+        return state._b_aug_lu.solve(state.per_member(rhs).T).T.ravel()
+
+    on = state.online.nonzero()[0]
+    bus_on, b_on, rating = state.gen_bus[on], state.b_coupling[on], state.rating[on]
+    rhs = p_inj.copy()
+    rhs[bus_on] += b_on * state.delta[on]
+    theta = solve(rhs)
+    if not np.isfinite(theta).all():
         raise IslandingError(f"network solve produced non-finite angles at "
                              f"t={state.clock:.2f}s")
-    residual = float(np.max(np.abs(state._b_aug @ theta - rhs)))
-    if residual > state.max_residual:
-        state.max_residual = residual
-    state.theta = theta
+    residual = np.abs(state._b_aug @ state.per_member(theta).T
+                      - state.per_member(rhs).T).max(axis=0)
+    np.maximum(state.max_residual, residual, out=state.max_residual)
 
-    base = model.base_mva
-    online = [m for m in state.machines if m.state.online]
-    for m in state.machines:
-        if not m.state.online:
-            m.p_elec = 0.0
-
-    bus_onl = np.array([m.bus_idx for m in online], dtype=int)
-    b_onl = np.array([m.b_coupling for m in online])
-    rating = np.array([m.rating for m in online])
-    pe_sys0 = b_onl * (np.array([m.state.delta for m in online])
-                       - theta[bus_onl])
-    pe_sys_total = float(pe_sys0.sum())
-    pe0 = pe_sys0 * base / rating
+    pe_sys0 = b_on * (state.delta[on] - theta[bus_on])
+    state.p_elec[on] = pe_sys0 * base / rating
 
     # governors see a midpoint estimate of the speed deviation (one
     # explicit half-step of the swing equation), turbine stages couple
     # through step-averaged inputs, and the swing integration below uses
     # the average of the old and new mechanical power: every cross-block
     # coupling is second-order accurate in dt
-    p_m_eff = np.empty(len(online))
-    p_m_new = np.empty(len(online))
-    for j, m in enumerate(online):
-        m.p_elec = float(pe0[j])
-        dw0 = m.state.speed_dev
-        dw = dw0 + 0.5 * dt * ((m.state.p_mech - m.p_elec - m.d * dw0)
-                               / (2.0 * m.h))
-        if m.kind == "thermal":
-            valve_prev = m.gov.valve
-            gov = mach.steam_governor_step(m.gov, m.params, dw, dt)
-            gov, p_m = mach.steam_turbine_step(gov, m.params, dt,
-                                               valve_prev=valve_prev)
-        else:
-            dpe = m.p_elec - m.gov.power_ref
-            gate_prev = m.gov.gate
-            gov = mach.hydro_governor_step(m.gov, m.params, dw, dpe, dt)
-            gov, p_m = mach.hydro_turbine_step(gov, m.params, dt,
-                                               gate_prev=gate_prev)
-        m.gov = gov
-        p_m_eff[j] = 0.5 * (m.state.p_mech + p_m)
-        p_m_new[j] = p_m
+    dw = state.speed_dev + 0.5 * dt * ((state.p_mech - state.p_elec
+                                        - state.d * state.speed_dev)
+                                       / (2.0 * state.h))
+    p_m = np.zeros(len(state.online))
+    steam, hydro = state.banks["thermal"], state.banks["hydro"]
+    valve_prev = steam.gov.valve
+    gov = mach.steam_governor_step(steam.gov, steam.params, dw[steam.idx], dt)
+    steam.gov, p_m[steam.idx] = mach.steam_turbine_step(
+        gov, steam.params, dt, valve_prev=valve_prev)
+    gate_prev = hydro.gov.gate
+    gov = mach.hydro_governor_step(hydro.gov, hydro.params, dw[hydro.idx],
+                                   state.p_elec[hydro.idx] - hydro.gov.power_ref,
+                                   dt)
+    hydro.gov, p_m[hydro.idx] = mach.hydro_turbine_step(
+        gov, hydro.params, dt, gate_prev=gate_prev)
+    p_m_eff = 0.5 * (state.p_mech[on] + p_m[on])
 
     # coupled RK4 over all rotor angles and speeds; the network algebraic
     # constraint is re-solved at every stage so the synchronizing power is
     # exact, not linearized about the step's starting point
     ws = 2.0 * math.pi * model.f0
-    two_h = 2.0 * np.array([m.h for m in online])
-    d_vec = np.array([m.d for m in online])
+    two_h = 2.0 * state.h[on]
+    d_on = state.d[on]
 
     def derivs(delta_vec, w_vec, theta_stage=None):
         if theta_stage is None:
-            stage_rhs = inj / base
-            np.add.at(stage_rhs, bus_onl, b_onl * delta_vec)
-            theta_stage = state._b_aug_lu.solve(stage_rhs)
-        pe = (b_onl * (delta_vec - theta_stage[bus_onl])) * base / rating
-        return ws * w_vec, (p_m_eff - pe - d_vec * w_vec) / two_h
+            stage_rhs = p_inj.copy()
+            stage_rhs[bus_on] += b_on * delta_vec
+            theta_stage = solve(stage_rhs)
+        pe = (b_on * (delta_vec - theta_stage[bus_on])) * base / rating
+        return ws * w_vec, (p_m_eff - pe - d_on * w_vec) / two_h
 
-    delta0 = np.array([m.state.delta for m in online])
-    w0 = np.array([m.state.speed_dev for m in online])
+    delta0, w0 = state.delta[on], state.speed_dev[on]
     k1d, k1w = derivs(delta0, w0, theta_stage=theta)
     k2d, k2w = derivs(delta0 + 0.5 * dt * k1d, w0 + 0.5 * dt * k1w)
     k3d, k3w = derivs(delta0 + 0.5 * dt * k2d, w0 + 0.5 * dt * k2w)
     k4d, k4w = derivs(delta0 + dt * k3d, w0 + dt * k3w)
-    delta1 = delta0 + dt * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
-    w1 = w0 + dt * (k1w + 2 * k2w + 2 * k3w + k4w) / 6.0
-    for j, m in enumerate(online):
-        m.state = replace(m.state, delta=float(delta1[j]),
-                          speed_dev=float(w1[j]), p_mech=float(p_m_new[j]))
+    state.delta[on] = delta0 + dt * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
+    state.speed_dev[on] = w0 + dt * (k1w + 2 * k2w + 2 * k3w + k4w) / 6.0
+    state.p_mech = p_m
 
-    # frequency estimation (vectorized over buses)
-    if state.est_prev_theta is None:
-        raw = np.zeros_like(theta)
-    else:
-        raw = (theta - state.est_prev_theta) / dt
-    alpha = 1.0 - math.exp(-dt / state.params.freq_filter_tau)
-    state.est_filt = state.est_filt + (raw - state.est_filt) * alpha
-    state.est_prev_theta = theta.copy()
-    state.freq = model.f0 + state.est_filt / (2.0 * math.pi)
+    state.est_filt, state.freq = estimate_frequency(
+        theta, state.theta, state.est_filt, dt, state.params.freq_filter_tau,
+        model.f0)
+    state.theta = theta
 
     if state.params.ufls_enabled:
-        for i, r in enumerate(state.relays):
-            state.relays[i] = ufls_step(r, state.freq[state.load_bus_idx[i]], dt)
+        f_load = state.freq[state.load_bus_idx].tolist()
+        state.relays = [ufls_step(r, f, dt) for r, f in zip(state.relays, f_load)]
 
     state.clock += dt
     # lossless DC bookkeeping: machine generation balances the net
     # non-machine injections exactly (Laplacian row sums are zero)
-    balance_mw = float(inj.sum()) + pe_sys_total * base
-    return {"expected": expected, "served": served, "battery": battery,
-            "residual": residual, "balance_mw": balance_mw}
+    balance_mw = (state.per_member(inj).sum(axis=1)
+                  + state.per_member(pe_sys0).sum(axis=1) * base)
+    return {"residual": float(residual.max()),
+            "balance_mw": float(np.abs(balance_mw).max())}
 
 
 def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
-    """Trip a generator: remove its injection and freeze its governor."""
-    for m in state.machines:
-        if m.gen_id == event.generator:
-            if not m.state.online:
-                logger.warning("generator %s already offline; trip ignored",
-                               event.generator)
-                return
-            m.state = replace(m.state, online=False, p_mech=0.0)
-            m.p_elec = 0.0
-            state.refactorize()
-            logger.info("t=%.2fs: tripped %s (%.0f MVA)", state.clock,
-                        m.gen_id, m.rating)
-            return
-    raise ScenarioError(f"unknown generator {event.generator}")
+    """Trip a generator in every member: remove its injection and its governor."""
+    gens = state.model.generators
+    ids = [g.id for g in gens]
+    if event.generator not in ids:
+        raise ScenarioError(f"unknown generator {event.generator}")
+    g = ids.index(event.generator)
+    if not state.online[g]:
+        logger.warning("generator %s already offline; trip ignored",
+                       event.generator)
+        return
+    n_gen = len(gens)
+    state.online[g::n_gen] = False
+    state.p_mech[g::n_gen] = state.p_elec[g::n_gen] = 0.0
+    state.banks[gens[g].kind].drop(g, n_gen)
+    state.refactorize()
+    logger.info("t=%.2fs: tripped %s (%.0f MVA)", state.clock,
+                event.generator, state.rating[g])
 
 
 # ---------------------------------------------------------------------------
@@ -638,57 +688,67 @@ def run_scenario(model: GridModel, scenario: Scenario,
     load realizations; Case B additionally activates batteries at the
     dispatched buses (paired-comparison design).
     """
-    scenario.validate_against(model)
     if params is None:
         params = SimParams.from_model(model)
     if profiles is None:
         profiles = build_profiles(model, scenario, params, profile_overrides)
+    return run_ensemble(model, [scenario], params, [profiles])[0]
 
-    state = init_system(model, scenario, params, profiles)
-    dt = scenario.dt_s
-    n_steps = int(round(scenario.duration_s / dt))
-    dec = max(1, int(round(scenario.output_dt_s / dt)))
+
+def run_ensemble(model: GridModel, scenarios: list[Scenario],
+                 params: SimParams | None = None,
+                 profiles: list[ProfileSet] | None = None) -> list[Trajectory]:
+    """Run scenarios that share an event schedule as one batch.
+
+    The members (any mix of seeds and cases) step side by side through
+    one factorization and one Python loop per step; each member's
+    trajectory is bit for bit the one ``run_scenario`` gives for it.
+    """
+    for sc in scenarios:
+        sc.validate_against(model)
+    if len({replace(sc, name="", case="A", seed=0) for sc in scenarios}) > 1:
+        raise ScenarioError("an ensemble's members need the same events, "
+                            "duration and steps")
+    if params is None:
+        params = SimParams.from_model(model)
+    if profiles is None:
+        profiles = [build_profiles(model, sc, params) for sc in scenarios]
+
+    state = init_system(model, scenarios, params, profiles)
+    first = scenarios[0]
+    duration, dt = first.duration_s, first.dt_s
+    n_steps = round(duration / dt)
+    dec = round(first.output_dt_s / dt)
     n_rec = n_steps // dec + 1
-    n_bus, n_gen = len(model.buses), len(model.generators)
-    n_load = len(model.load_buses)
-    wind_ids = [b.id for b in model.wind_buses]
-    dispatched = [b.id for b in model.buses if b.dispatched]
+    n_members = len(scenarios)
+
+    def records(width: int) -> np.ndarray:
+        return np.empty((n_members, n_rec, width))
 
     times = np.empty(n_rec)
-    bus_freq = np.empty((n_rec, n_bus))
-    gen_pm = np.empty((n_rec, n_gen))
-    gen_pe = np.empty((n_rec, n_gen))
-    gen_dw = np.empty((n_rec, n_gen))
-    gen_on = np.empty((n_rec, n_gen))
-    load_exp = np.empty((n_rec, n_load))
-    load_srv = np.empty((n_rec, n_load))
-    shed = np.empty((n_rec, n_load))
-    wind = np.empty((n_rec, len(wind_ids)))
-    bat = np.zeros((n_rec, len(dispatched)))
-
-    events = sorted(scenario.events, key=lambda e: e.time_s)
+    bus_freq = records(len(model.buses))
+    gen_pm, gen_pe, gen_dw, gen_on = (records(len(model.generators))
+                                      for _ in range(4))
+    load_exp, load_srv, shed = (records(len(model.load_buses)) for _ in range(3))
+    wind = records(len(model.wind_buses))
+    bat = records(len(state.battery_bus_idx) // n_members)
+    events = sorted(first.events, key=lambda e: e.time_s)
     next_ev = 0
 
     def record(k_rec: int) -> None:
-        sec = int(min(state.clock, scenario.duration_s - dt))
-        _, expected, served, battery = _injections_mw(
-            state, profiles, scenario.case, sec)
+        sec = int(min(state.clock, duration - dt))
         times[k_rec] = round(state.clock, 9)
-        bus_freq[k_rec] = state.freq
-        for j, m in enumerate(state.machines):
-            gen_pm[k_rec, j] = m.state.p_mech if m.state.online else 0.0
-            gen_pe[k_rec, j] = m.p_elec
-            gen_dw[k_rec, j] = m.state.speed_dev
-            gen_on[k_rec, j] = 1.0 if m.state.online else 0.0
-        load_exp[k_rec] = expected
-        load_srv[k_rec] = served
-        for j, bid in enumerate(wind_ids):
-            wind[k_rec, j] = profiles.wind_mw[bid].at(sec)
-        for j, bid in enumerate(dispatched):
-            bat[k_rec, j] = battery.get(bid, 0.0)
-        levels = {r.bus: r.level for r in state.relays}
-        for j, b in enumerate(model.load_buses):
-            shed[k_rec, j] = levels[b.id]
+        rows = state.per_member
+        bus_freq[:, k_rec] = rows(state.freq)
+        gen_pm[:, k_rec] = rows(state.p_mech)
+        gen_pe[:, k_rec] = rows(state.p_elec)
+        gen_dw[:, k_rec] = rows(state.speed_dev)
+        gen_on[:, k_rec] = rows(state.online)
+        shed[:, k_rec] = rows(state.shed_levels())
+        load_exp[:, k_rec] = rows(state.load_mw[sec])
+        load_srv[:, k_rec] = rows(state.load_mw[sec]) * (1.0 - shed[:, k_rec])
+        wind[:, k_rec] = rows(state.wind_mw[sec])
+        bat[:, k_rec] = rows(state.battery_mw[sec])
 
     record(0)
     k_rec = 1
@@ -696,22 +756,23 @@ def run_scenario(model: GridModel, scenario: Scenario,
         while next_ev < len(events) and state.clock >= events[next_ev].time_s - 0.5 * dt:
             apply_contingency(state, events[next_ev])
             next_ev += 1
-        step_system(state, profiles, scenario.case, dt)
+        step_system(state, dt)
         if (k + 1) % dec == 0:
             record(k_rec)
             k_rec += 1
 
-    return Trajectory(
-        scenario_name=scenario.name, case=scenario.case, seed=scenario.seed,
+    return [Trajectory(
+        scenario_name=sc.name, case=sc.case, seed=sc.seed,
         dt_out=dec * dt, bus_ids=model.bus_ids,
         gen_ids=[g.id for g in model.generators],
         load_bus_ids=[b.id for b in model.load_buses],
-        wind_bus_ids=wind_ids, dispatched_bus_ids=dispatched,
-        times=times[:k_rec], bus_freq=bus_freq[:k_rec],
-        gen_p_mech=gen_pm[:k_rec], gen_p_elec=gen_pe[:k_rec],
-        gen_speed_dev=gen_dw[:k_rec], gen_online=gen_on[:k_rec],
-        load_expected_mw=load_exp[:k_rec], load_served_mw=load_srv[:k_rec],
-        shed_level=shed[:k_rec], wind_mw=wind[:k_rec], battery_mw=bat[:k_rec],
-        max_residual=state.max_residual,
-        profile_fingerprint=profiles.fingerprint(),
-    )
+        wind_bus_ids=[b.id for b in model.wind_buses],
+        dispatched_bus_ids=[b.id for b in model.buses if b.dispatched],
+        times=times.copy(), bus_freq=bus_freq[j],
+        gen_p_mech=gen_pm[j], gen_p_elec=gen_pe[j],
+        gen_speed_dev=gen_dw[j], gen_online=gen_on[j],
+        load_expected_mw=load_exp[j], load_served_mw=load_srv[j],
+        shed_level=shed[j], wind_mw=wind[j], battery_mw=bat[j],
+        max_residual=float(state.max_residual[j]),
+        profile_fingerprint=profiles[j].fingerprint(),
+    ) for j, sc in enumerate(scenarios)]

@@ -203,13 +203,6 @@ def line_flows_mw(model: GridModel, theta: np.ndarray) -> np.ndarray:
     return flows * model.base_mva
 
 
-def export_susceptance_csv(model: GridModel, path: str | Path) -> None:
-    """Dump the full susceptance matrix as a dense CSV for debugging."""
-    full = build_full_susceptance_matrix(model).toarray()
-    header = ",".join(str(i) for i in model.bus_ids)
-    np.savetxt(path, full, delimiter=",", header=header, comments="", fmt="%.10g")
-
-
 # -- config loading --------------------------------------------------------
 
 def _line_from_entry(entry: dict) -> LineSpec:

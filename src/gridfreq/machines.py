@@ -1,4 +1,4 @@
-"""Per-generator dynamics: swing equation plus governor/turbine models.
+"""Governor and turbine models of the generating units.
 
 Two prime-mover chains are provided:
 
@@ -16,6 +16,11 @@ discretization, so they are unconditionally stable regardless of the
 step size (the speed-relay time constant is 1 ms, far below typical
 integration steps).  States are plain dataclasses; step functions are
 pure and return new states, enabling deterministic replay.
+
+Every function is elementwise: a state or parameter field holds either
+one unit's scalar or an array over a bank of units of one kind, and one
+call on an N-unit bank gives bit for bit what N scalar calls give.  The
+swing equation is integrated by the engine, over all machines at once.
 """
 
 from __future__ import annotations
@@ -23,12 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 GATE_FLOOR = 1e-4   # gate floor preventing (q/G)^2 blow-up
 
 
-def _lag(state: float, target: float, tau: float, dt: float) -> float:
+def _lag(state, target, tau, dt: float):
     """Exact one-step response of dx/dt = (u - x)/tau for constant u."""
-    return target + (state - target) * math.exp(-dt / tau)
+    return target + (state - target) * np.exp(-dt / tau)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +73,7 @@ class SteamGovState:
 def steam_init(p_set: float, params: SteamParams,
                reserve: float = math.inf) -> SteamGovState:
     """Equilibrium state producing mechanical power ``p_set`` (machine p.u.)."""
-    cap = min(params.valve_max, p_set + reserve)
+    cap = np.minimum(params.valve_max, p_set + reserve)
     return SteamGovState(load_ref=p_set, relay_out=p_set, valve=p_set,
                          p_chest=p_set, p_reheat=p_set, p_crossover=p_set,
                          valve_cap=cap)
@@ -86,9 +93,10 @@ def steam_governor_step(s: SteamGovState, params: SteamParams,
     # exact lag toward the relay output unless the implied rate saturates
     candidate = _lag(s.valve, relay, params.t_servo, dt)
     rate = (candidate - s.valve) / dt
-    rate = min(max(rate, params.rate_close), params.rate_open)
+    rate = np.minimum(np.maximum(rate, params.rate_close), params.rate_open)
     valve = s.valve + rate * dt
-    valve = min(max(valve, params.valve_min), min(params.valve_max, s.valve_cap))
+    valve = np.minimum(np.maximum(valve, params.valve_min),
+                       np.minimum(params.valve_max, s.valve_cap))
     return replace(s, relay_out=relay, valve=valve)
 
 
@@ -106,11 +114,6 @@ def steam_turbine_step(s: SteamGovState, params: SteamParams, dt: float,
     p_co = _lag(s.p_crossover, 0.5 * (s.p_reheat + p_rh), params.t_crossover, dt)
     p_m = params.f_hp * p_ch + params.f_ip * p_rh + params.f_lp * p_co
     return replace(s, p_chest=p_ch, p_reheat=p_rh, p_crossover=p_co), p_m
-
-
-def steam_mech_power(s: SteamGovState, params: SteamParams) -> float:
-    return (params.f_hp * s.p_chest + params.f_ip * s.p_reheat
-            + params.f_lp * s.p_crossover)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +154,10 @@ def hydro_init(p_set: float, params: HydroParams,
                reserve: float = math.inf) -> HydroGovState:
     """Equilibrium state producing mechanical power ``p_set`` (machine p.u.)."""
     gate = p_set / params.turbine_gain + params.q_nl
-    if not 0.0 <= gate <= 1.0:
-        raise ValueError(f"set-point {p_set} outside gate range (gate {gate:.3f})")
+    if not np.all((0.0 <= gate) & (gate <= 1.0)):
+        raise ValueError(f"set-point {p_set} outside gate range (gate {gate})")
     p_cap = p_set + reserve
-    gate_cap = min(1.0, p_cap / params.turbine_gain + params.q_nl)
+    gate_cap = np.minimum(1.0, p_cap / params.turbine_gain + params.q_nl)
     return HydroGovState(gate=gate, flow=gate, power_ref=p_set,
                          gate_cap=gate_cap)
 
@@ -172,23 +175,22 @@ def hydro_governor_step(s: HydroGovState, params: HydroParams,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if params.droop_on_power:
-        feedback = params.droop * delta_pe
-    else:
-        gate0 = s.power_ref / params.turbine_gain + params.q_nl
-        # midpoint gate estimate keeps the feedback consistent with the
-        # (midpoint) speed deviation supplied by the caller
-        gate_mid = s.gate + 0.5 * s.servo_vel * dt
-        feedback = params.droop * (gate_mid - gate0) * params.turbine_gain
+    gate0 = s.power_ref / params.turbine_gain + params.q_nl
+    # midpoint gate estimate keeps the feedback consistent with the
+    # (midpoint) speed deviation supplied by the caller
+    gate_mid = s.gate + 0.5 * s.servo_vel * dt
+    feedback = np.where(params.droop_on_power, params.droop * delta_pe,
+                        params.droop * (gate_mid - gate0) * params.turbine_gain)
     err = -delta_omega - feedback
 
-    at_max = s.gate >= s.gate_cap - 1e-12 and err > 0
-    at_min = s.gate <= GATE_FLOOR and err < 0
-    pid_int = s.pid_int if (at_max or at_min) else s.pid_int + params.ki * err * dt
+    at_max = (s.gate >= s.gate_cap - 1e-12) & (err > 0)
+    at_min = (s.gate <= GATE_FLOOR) & (err < 0)
+    pid_int = np.where(at_max | at_min, s.pid_int, s.pid_int + params.ki * err * dt)
 
-    if params.kd > 0.0:
-        filt = _lag(s.pid_filt, err, params.t_filter, dt)
-        deriv = params.kd * (err - filt) / params.t_filter
+    has_d = params.kd > 0.0
+    if np.any(has_d):
+        filt = np.where(has_d, _lag(s.pid_filt, err, params.t_filter, dt), s.pid_filt)
+        deriv = np.where(has_d, params.kd * (err - filt) / params.t_filter, 0.0)
     else:
         filt, deriv = s.pid_filt, 0.0
 
@@ -197,7 +199,8 @@ def hydro_governor_step(s: HydroGovState, params: HydroParams,
     # to gate position (the gate itself holds when the PID output is zero)
     vel = _lag(s.servo_vel, params.servo_gain * u, params.t_servo, dt)
     # trapezoidal gate integration keeps the position second-order accurate
-    gate = min(max(s.gate + 0.5 * (s.servo_vel + vel) * dt, 0.0), s.gate_cap)
+    gate = np.minimum(np.maximum(s.gate + 0.5 * (s.servo_vel + vel) * dt, 0.0),
+                      s.gate_cap)
     return replace(s, pid_int=pid_int, pid_filt=filt, servo_vel=vel, gate=gate)
 
 
@@ -208,77 +211,22 @@ def hydro_turbine_step(s: HydroGovState, params: HydroParams, dt: float,
     start of the step; omitting it freezes the gate at its current value.
     """
     g_held = s.gate if gate_prev is None else 0.5 * (gate_prev + s.gate)
-    g = max(g_held, GATE_FLOOR)
+    g = np.maximum(g_held, GATE_FLOOR)
     tw = params.t_water
 
-    def dq(q: float) -> float:
-        return (1.0 - (q / g) ** 2) / tw
+    # squares are products: a scalar ** 2 goes through libm pow, which can
+    # differ in the last bit from the product an array power computes
+    def dq(q):
+        r = q / g
+        return (1.0 - r * r) / tw
 
     q = s.flow
     k1 = dq(q)
     k2 = dq(q + 0.5 * dt * k1)
     k3 = dq(q + 0.5 * dt * k2)
     k4 = dq(q + dt * k3)
-    q_new = max(q + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
-    g_end = max(s.gate, GATE_FLOOR)      # output power at the endpoint gate
-    head = (q_new / g_end) ** 2
+    q_new = np.maximum(q + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
+    r = q_new / np.maximum(s.gate, GATE_FLOOR)      # at the endpoint gate
+    head = r * r
     p_m = params.turbine_gain * head * (q_new - params.q_nl)
     return replace(s, flow=q_new), p_m
-
-
-def hydro_mech_power(s: HydroGovState, params: HydroParams) -> float:
-    g = max(s.gate, GATE_FLOOR)
-    head = (s.flow / g) ** 2
-    return params.turbine_gain * head * (s.flow - params.q_nl)
-
-
-# ---------------------------------------------------------------------------
-# swing equation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class MachineState:
-    delta: float = 0.0             # rotor angle, rad
-    speed_dev: float = 0.0         # speed deviation, p.u.
-    p_mech: float = 0.0            # mechanical power, machine p.u.
-    online: bool = True
-
-
-def swing_step(m: MachineState, p_m: float, p_e: float, h: float, d: float,
-               f0: float, dt: float, dpe_ddelta: float = 0.0,
-               drift_speed: float = 0.0) -> MachineState:
-    """RK4 step of the classical swing equation.
-
-    d(speed_dev)/dt = (P_m - P_e - D*speed_dev) / (2H)
-    d(delta)/dt     = 2*pi*f0 * speed_dev
-
-    ``p_e`` is the electrical power at the current rotor angle; if
-    ``dpe_ddelta`` is supplied, the electrical power is linearized in the
-    rotor angle (network synchronizing term) within the step.  Because
-    the network's common-mode angle tracks the machines, the restoring
-    term must act only on the deviation from the collective drift:
-    ``drift_speed`` (typically the center-of-inertia speed deviation)
-    sets the reference trajectory delta0 + 2*pi*f0*drift_speed*t about
-    which the linearization is taken.
-    """
-    if h <= 0:
-        raise ValueError("inertia constant must be positive")
-    if not m.online:
-        return m
-    ws = 2.0 * math.pi * f0
-    two_h = 2.0 * h
-    d0 = m.delta
-
-    def deriv(delta: float, w: float, tau: float) -> tuple[float, float]:
-        pe = p_e + dpe_ddelta * (delta - d0 - ws * drift_speed * tau)
-        return ws * w, (p_m - pe - d * w) / two_h
-
-    k1d, k1w = deriv(m.delta, m.speed_dev, 0.0)
-    k2d, k2w = deriv(m.delta + 0.5 * dt * k1d,
-                     m.speed_dev + 0.5 * dt * k1w, 0.5 * dt)
-    k3d, k3w = deriv(m.delta + 0.5 * dt * k2d,
-                     m.speed_dev + 0.5 * dt * k2w, 0.5 * dt)
-    k4d, k4w = deriv(m.delta + dt * k3d, m.speed_dev + dt * k3w, dt)
-    delta = m.delta + dt * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
-    w = m.speed_dev + dt * (k1w + 2 * k2w + 2 * k3w + k4w) / 6.0
-    return replace(m, delta=delta, speed_dev=w, p_mech=p_m)

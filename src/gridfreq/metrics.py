@@ -70,8 +70,7 @@ def compute_metrics(tr: Trajectory) -> Metrics:
     dt = tr.dt_out
     t_ls = float(np.count_nonzero(shedding) * dt)
 
-    trapezoid = getattr(np, "trapezoid", np.trapz)
-    eens = float(trapezoid(unserved, t)) / 3600.0
+    eens = float(np.trapezoid(unserved, t)) / 3600.0
 
     events = []
     in_event = False
@@ -152,6 +151,10 @@ def metrics_from_dict(d: dict) -> Metrics:
     for key in ("r_ls", "t_ls_s", "eens_mwh"):
         if key not in d:
             raise MetricsError(f"metrics document missing key {key!r}")
+    version = d.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise MetricsError(f"metrics schema version {version!r} is not "
+                           f"{SCHEMA_VERSION}")
     events = tuple(ShedEvent(**e) for e in d.get("events", ()))
     return Metrics(r_ls=d["r_ls"], t_ls_s=d["t_ls_s"], eens_mwh=d["eens_mwh"],
                    events=events, scenario=d.get("scenario", ""),

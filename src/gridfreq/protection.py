@@ -9,6 +9,7 @@ additive increments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 SHED_LEVELS = (0.0, 0.05, 0.15, 0.25, 0.35, 0.45, 0.50)
@@ -91,24 +92,18 @@ def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
     return replace(r, timer=timer)
 
 
-@dataclass(frozen=True, slots=True)
-class FrequencyEstimator:
-    """PMU surrogate: low-pass filtered angle derivative plus f0."""
+def estimate_frequency(theta, prev_theta, filt, dt: float, tau: float,
+                       f0: float):
+    """PMU surrogate: low-pass filtered angle derivative plus f0.
 
-    f0: float = 60.0
-    tau: float = 0.05           # filter time constant, s
-    prev_theta: float | None = None
-    filt: float = 0.0           # filtered d(theta)/dt, rad/s
-
-
-def estimate_bus_frequency(e: FrequencyEstimator, theta: float,
-                           dt: float) -> tuple[FrequencyEstimator, float]:
-    """Update the estimator with a new bus angle sample; returns (state, Hz)."""
-    import math
+    Advances the filtered d(theta)/dt ``filt`` (rad/s) by one sample of
+    the bus angle ``theta``; ``prev_theta`` is the previous sample, or
+    None before the first, which carries no derivative.  Elementwise
+    over arrays of buses.  Returns (filt, frequency in Hz).
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    raw = 0.0 if e.prev_theta is None else (theta - e.prev_theta) / dt
-    alpha = 1.0 - math.exp(-dt / e.tau)
-    filt = e.filt + (raw - e.filt) * alpha
-    f = e.f0 + filt / (2.0 * math.pi)
-    return replace(e, prev_theta=theta, filt=filt), f
+    raw = 0.0 if prev_theta is None else (theta - prev_theta) / dt
+    alpha = 1.0 - math.exp(-dt / tau)
+    filt = filt + (raw - filt) * alpha
+    return filt, f0 + filt / (2.0 * math.pi)

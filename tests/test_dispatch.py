@@ -7,7 +7,7 @@ from scipy import stats
 
 from gridfreq.dispatch import (CdfError, ErrorCdf, ideal_battery_injection,
                                perturb_injection, placeholder_error_cdf,
-                               sample_error, zero_error_cdf)
+                               zero_error_cdf)
 
 
 class TestBatteryAlgebra:
@@ -53,8 +53,8 @@ class TestErrorCdf:
     def test_zero_cdf_samples_zero(self):
         cdf = zero_error_cdf()
         rng = np.random.default_rng(1)
-        assert sample_error(cdf, rng) == 0.0
-        assert np.all(sample_error(cdf, rng, 100) == 0.0)
+        assert cdf.sample(rng) == 0.0
+        assert np.all(cdf.sample(rng, 100) == 0.0)
 
     def test_inverse_transform_matches_cdf_ks(self):
         """Empirical distribution of samples vs the piecewise-linear CDF
@@ -63,7 +63,7 @@ class TestErrorCdf:
         prob = np.array([0.0, 0.3, 0.5, 0.8, 1.0])
         cdf = ErrorCdf(eps=eps, prob=prob)
         rng = np.random.default_rng(12)
-        xs = sample_error(cdf, rng, 20000)
+        xs = cdf.sample(rng, 20000)
 
         def cdf_fn(x):
             return np.interp(x, eps, prob)
@@ -73,8 +73,8 @@ class TestErrorCdf:
 
     def test_determinism_per_rng_state(self):
         cdf = placeholder_error_cdf()
-        a = sample_error(cdf, np.random.default_rng(7), 50)
-        b = sample_error(cdf, np.random.default_rng(7), 50)
+        a = cdf.sample(np.random.default_rng(7), 50)
+        b = cdf.sample(np.random.default_rng(7), 50)
         assert np.array_equal(a, b)
 
     def test_placeholder_shape(self):
@@ -82,7 +82,7 @@ class TestErrorCdf:
         assert cdf.eps.min() == -0.05
         assert cdf.eps.max() == 0.05
         rng = np.random.default_rng(3)
-        xs = sample_error(cdf, rng, 50000)
+        xs = cdf.sample(rng, 50000)
         assert abs(xs.mean()) < 3 * 0.015 / np.sqrt(50000)
         assert xs.min() >= -0.05 and xs.max() <= 0.05
 

@@ -13,7 +13,7 @@ from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError,
                              SimParams, build_profiles, init_system,
                              load_scenario, run_scenario, step_system)
 from gridfreq.grid import GridConfigError
-from gridfreq.profiles import SecondSeries
+from gridfreq.profiles import ProfileError, SecondSeries
 
 from conftest import four_bus_doc
 
@@ -37,6 +37,17 @@ class TestScenario:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ScenarioError):
             Scenario(name="x", case="A", duration_s=0.0)
+
+    def test_dt_must_divide_duration(self):
+        with pytest.raises(ScenarioError, match="does not divide"):
+            Scenario(name="x", case="A", duration_s=10.0, dt_s=0.003)
+        Scenario(name="x", case="A", duration_s=315.0, dt_s=0.005)
+
+    def test_output_step_must_be_whole_multiple_of_dt(self):
+        for out in (0.015, 0.005, 0.0):
+            with pytest.raises(ScenarioError, match="whole multiple"):
+                Scenario(name="x", case="A", duration_s=10.0, output_dt_s=out)
+        Scenario(name="x", case="A", duration_s=10.0, output_dt_s=0.3)
 
     def test_validate_against_unknown_generator(self, four_bus):
         sc = Scenario(name="x", case="A", duration_s=10.0,
@@ -113,6 +124,15 @@ class TestProfiles:
                               overrides={3: {"wind": series}})
         assert prof.wind_mw[3].values[0] == 123.0
 
+    @pytest.mark.parametrize("values", [np.full(11, 123.0),
+                                        np.r_[np.full(11, 123.0), np.nan]])
+    def test_short_or_nonfinite_override_rejected(self, four_bus, values):
+        p = quick_params(four_bus)
+        sc = Scenario(name="t", case="A", duration_s=10)
+        series = SecondSeries(values=values, kind="wind", bus=3)
+        with pytest.raises(ProfileError, match="12 finite"):
+            build_profiles(four_bus, sc, p, overrides={3: {"wind": series}})
+
     def test_eps_streams_only_on_dispatched_buses(self, four_bus):
         p = SimParams.from_model(four_bus)
         prof = build_profiles(four_bus, Scenario(name="t", case="A",
@@ -127,10 +147,10 @@ class TestInitAndStep:
         p = quick_params(four_bus)
         sc = Scenario(name="eq", case="A", duration_s=5)
         prof = build_profiles(four_bus, sc, p)
-        st = init_system(four_bus, sc, p, prof)
+        st = init_system(four_bus, [sc], p, [prof])
         for _ in range(500):
-            step_system(st, prof, "A", 0.01)
-        assert max(abs(m.state.speed_dev) for m in st.machines) < 1e-12
+            step_system(st, 0.01)
+        assert np.max(np.abs(st.speed_dev)) < 1e-12
         assert st.max_residual < 1e-9
 
     def test_wind_exceeding_load_rejected(self, four_bus):
@@ -138,7 +158,7 @@ class TestInitAndStep:
         sc = Scenario(name="x", case="A", duration_s=5)
         prof = build_profiles(four_bus, sc, p)
         with pytest.raises(ScenarioError, match="wind exceeds"):
-            init_system(four_bus, sc, p, prof)
+            init_system(four_bus, [sc], p, [prof])
 
     def test_power_bookkeeping_lossless(self, ieee39):
         """Machine generation balances wind + battery - served load at
@@ -147,12 +167,12 @@ class TestInitAndStep:
         p = SimParams.from_model(ieee39)
         sc = Scenario(name="bk", case="B", duration_s=10, seed=3)
         prof = build_profiles(ieee39, sc, p)
-        st = init_system(ieee39, sc, p, prof)
+        st = init_system(ieee39, [sc], p, [prof])
         worst = 0.0
         for k in range(1000):
             if k == 400:
                 apply_contingency(st, ContingencyEvent(4.0, "G7"))
-            rec = step_system(st, prof, "B", 0.01)
+            rec = step_system(st, 0.01)
             worst = max(worst, abs(rec["balance_mw"]))
         assert worst < 1e-9 * ieee39.base_mva
 
@@ -168,12 +188,21 @@ class TestInitAndStep:
         assert tr.gen_online[-1, j] == 0.0
         assert "already offline" in caplog.text
 
+    def test_trip_before_first_step(self, four_bus):
+        """G2 is the only hydro unit, so its bank empties before any
+        governor step has run."""
+        sc = Scenario(name="t0", case="B", duration_s=2,
+                      events=(ContingencyEvent(0.0, "G2"),))
+        tr = run_scenario(four_bus, sc, params=quick_params(four_bus))
+        assert np.all(tr.gen_online[1:, tr.gen_ids.index("G2")] == 0.0)
+        assert np.all(np.isfinite(tr.bus_freq))
+
     def test_unknown_generator_trip_raises(self, four_bus):
         from gridfreq.engine import apply_contingency
         p = quick_params(four_bus)
         sc = Scenario(name="x", case="A", duration_s=5)
         prof = build_profiles(four_bus, sc, p)
-        st = init_system(four_bus, sc, p, prof)
+        st = init_system(four_bus, [sc], p, [prof])
         with pytest.raises(ScenarioError, match="unknown generator"):
             apply_contingency(st, ContingencyEvent(0.0, "G77"))
 
@@ -223,3 +252,39 @@ class TestTrajectory:
         sc = Scenario(name="t", case="A", duration_s=2)
         tr = run_scenario(four_bus, sc, params=p)
         assert np.allclose(tr.total_shed_fraction(), 0.0)
+
+
+class TestEnsemble:
+    def test_members_match_their_solo_runs_bit_for_bit(self, ieee39):
+        """Mixed seeds and cases through one batch, with a double trip
+        that sheds load: every member equals its own run_scenario."""
+        p = SimParams.from_model(ieee39)
+        scenarios = [Scenario(name=f"e{case}{seed}", case=case, seed=seed,
+                              duration_s=12.0,
+                              events=(ContingencyEvent(2.0, "G4"),
+                                      ContingencyEvent(2.0, "G6")))
+                     for seed in (1, 2) for case in "AB"]
+        batch = gf.run_ensemble(ieee39, scenarios, params=p)
+        assert [tr.scenario_name for tr in batch] == [sc.name for sc in scenarios]
+        assert max(tr.shed_level.max() for tr in batch) > 0.0
+        for sc, tr in zip(scenarios, batch):
+            solo = run_scenario(ieee39, sc, params=p)
+            for name, value in vars(solo).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(getattr(tr, name), value), name
+                else:
+                    assert getattr(tr, name) == value, name
+
+    def test_members_need_one_schedule(self, four_bus):
+        p = quick_params(four_bus)
+        same = Scenario(name="a", case="A", duration_s=2)
+        for other in (Scenario(name="b", case="B", duration_s=3),
+                      Scenario(name="b", case="B", duration_s=2,
+                               events=(ContingencyEvent(1.0, "G2"),))):
+            with pytest.raises(ScenarioError, match="same events"):
+                gf.run_ensemble(four_bus, [same, other], params=p)
+        with pytest.raises(ScenarioError, match="at least one"):
+            gf.run_ensemble(four_bus, [], params=p)
+        profiles = [build_profiles(four_bus, same, p)]
+        with pytest.raises(ScenarioError, match="one per member"):
+            gf.run_ensemble(four_bus, [same, same], params=p, profiles=profiles)

@@ -2,20 +2,32 @@
 
 Oracles: closed-form solutions of the linear ODEs, scipy.integrate
 reference solutions of the nonlinear ones, and steady-state droop
-algebra.  Step functions must also hold their exact equilibria.
+algebra.  Step functions must also hold their exact equilibria, and one
+call on a bank of units must equal one scalar call per unit, bit for bit.
+The swing equation is checked through one-machine engine runs.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from gridfreq.machines import (GATE_FLOOR, HydroParams, MachineState,
-                               SteamParams, _lag, hydro_governor_step,
-                               hydro_init, hydro_mech_power, hydro_turbine_step,
-                               steam_governor_step, steam_init,
-                               steam_mech_power, steam_turbine_step, swing_step)
+import gridfreq as gf
+from gridfreq.engine import ContingencyEvent, Scenario, SimParams, run_scenario
+from gridfreq.grid import GridConfigError
+from gridfreq.machines import (GATE_FLOOR, HydroGovState, HydroParams,
+                               SteamGovState, SteamParams, _lag,
+                               hydro_governor_step, hydro_init,
+                               hydro_turbine_step, steam_governor_step,
+                               steam_init, steam_turbine_step)
+from gridfreq.profiles import SecondSeries
+from gridfreq.protection import estimate_frequency
+
+from conftest import two_bus_doc
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +139,12 @@ class TestSteam:
         assert np.max(np.abs(got_p - want)) < 2e-3
 
     def test_mech_power_helper_consistent(self):
+        """P_m is the fraction-weighted sum of the returned stage states."""
         params = SteamParams()
         s = steam_init(0.42, params)
         s2, p_m = steam_turbine_step(s, params, 0.01)
-        assert steam_mech_power(s2, params) == pytest.approx(p_m, rel=1e-14)
+        assert (params.f_hp * s2.p_chest + params.f_ip * s2.p_reheat
+                + params.f_lp * s2.p_crossover) == pytest.approx(p_m, rel=1e-14)
 
     def test_rejects_nonpositive_dt(self):
         params = SteamParams()
@@ -241,7 +255,7 @@ class TestHydro:
         """Opening the gate first reduces mechanical power (head drop)."""
         params = HydroParams()
         s = hydro_init(0.5, params)
-        p0 = hydro_mech_power(s, params)
+        _, p0 = hydro_turbine_step(s, params, 0.01)
         s = s.__class__(gate=s.gate + 0.1, flow=s.flow, power_ref=0.5,
                         gate_cap=1.0)
         s, p_after = hydro_turbine_step(s, params, 0.01)
@@ -264,67 +278,179 @@ class TestHydro:
 
 
 # ---------------------------------------------------------------------------
-# swing equation
+# swing equation, through one-machine engine runs
 # ---------------------------------------------------------------------------
 
 class TestSwing:
     def test_constant_imbalance_matches_closed_form(self):
-        """2H dw/dt = dP - D w has the closed form
+        """One thermal unit without reserve (its valve is pinned at the
+        set-point) against a load 10% above schedule: the imbalance is
+        constant, and 2H dw/dt = dP - D w has the closed form
         w(t) = (dP/D)(1 - exp(-D t / 2H))."""
-        h, d, f0, dt = 4.0, 1.5, 60.0, 0.001
-        dp = 0.2
-        m = MachineState()
-        t = 0.0
-        for _ in range(3000):
-            m = swing_step(m, p_m=dp, p_e=0.0, h=h, d=d, f0=f0, dt=dt)
-            t += dt
-        want = (dp / d) * (1.0 - math.exp(-d * t / (2.0 * h)))
-        assert m.speed_dev == pytest.approx(want, rel=1e-9)
+        model = gf.load_grid_config(two_bus_doc(rating=1000.0, load=500.0))
+        params = SimParams.from_model(model, reserve_fraction=0.0,
+                                      ufls_enabled=False,
+                                      deterministic_profiles=True)
+        load = SecondSeries(values=np.full(32, 550.0), kind="load", bus=2,
+                            baseline_mw=500.0)
+        tr = run_scenario(model, Scenario(name="swing", case="A", duration_s=30.0),
+                          params=params, profile_overrides={2: {"load": load}})
+        np.testing.assert_allclose(tr.gen_p_mech[:, 0], 0.5, rtol=1e-14)
+        np.testing.assert_allclose(tr.gen_p_elec[1:, 0], 0.55, rtol=1e-12)
+        h, d, dp = params.h_thermal, params.damping, 0.5 - 0.55
+        want = (dp / d) * (1.0 - np.exp(-d * tr.times / (2.0 * h)))
+        np.testing.assert_allclose(tr.gen_speed_dev[:, 0], want, rtol=1e-9)
 
-    def test_undamped_oscillator_matches_closed_form(self):
-        """With a synchronizing term and D=0 the rotor is a harmonic
-        oscillator: delta(t) = delta0 cos(omega_n t)."""
-        h, f0, dt = 3.0, 60.0, 0.0005
-        k = 2.0                          # dPe/ddelta
-        ws = 2.0 * math.pi * f0
-        omega_n = math.sqrt(k * ws / (2.0 * h))
-        delta0 = 0.05
-        m = MachineState(delta=delta0)
-        t = 0.0
-        for _ in range(4000):
-            m = swing_step(m, p_m=0.0, p_e=k * m.delta, h=h, d=0.0, f0=f0,
-                           dt=dt, dpe_ddelta=k)
-            t += dt
-        assert m.delta == pytest.approx(delta0 * math.cos(omega_n * t),
-                                        abs=1e-6)
-
-    def test_drift_reference_removes_spurious_restoring_force(self):
-        """A machine moving exactly on the common drift trajectory with
-        matched powers must keep its speed unchanged."""
-        h, d, f0, dt = 3.0, 0.0, 60.0, 0.01
-        w0 = 0.01
-        m = MachineState(delta=1.0, speed_dev=w0)
-        for _ in range(100):
-            m = swing_step(m, p_m=0.3, p_e=0.3, h=h, d=d, f0=f0, dt=dt,
-                           dpe_ddelta=3.0, drift_speed=w0)
-        assert m.speed_dev == pytest.approx(w0, abs=1e-12)
-
-    def test_frozen_linearization_would_inject_damping(self):
-        """Without the drift reference the same setup loses speed (the
-        regression the COI reference exists to prevent)."""
-        h, f0, dt = 3.0, 60.0, 0.01
-        w0 = 0.01
-        m = MachineState(delta=1.0, speed_dev=w0)
-        for _ in range(100):
-            m = swing_step(m, p_m=0.3, p_e=0.3, h=h, d=0.0, f0=f0, dt=dt,
-                           dpe_ddelta=3.0, drift_speed=0.0)
-        assert m.speed_dev < w0 - 1e-4
-
-    def test_offline_machine_is_inert(self):
-        m = MachineState(delta=0.3, speed_dev=0.01, online=False)
-        m2 = swing_step(m, p_m=1.0, p_e=0.0, h=3.0, d=1.0, f0=60.0, dt=0.01)
-        assert m2 == m
+    def test_offline_machine_is_inert(self, four_bus):
+        """A tripped machine keeps its rotor state and produces nothing."""
+        params = SimParams.from_model(four_bus, ufls_enabled=False)
+        sc = Scenario(name="trip", case="A", duration_s=4.0,
+                      events=(ContingencyEvent(1.0, "G2"),))
+        tr = run_scenario(four_bus, sc, params=params)
+        j = tr.gen_ids.index("G2")
+        after = tr.times > 1.0
+        assert tr.gen_speed_dev[-1, j] != 0.0
+        assert np.all(tr.gen_speed_dev[after, j] == tr.gen_speed_dev[-1, j])
+        assert np.all(tr.gen_online[after, j] == 0.0)
+        assert np.all(tr.gen_p_mech[after, j] == 0.0)
+        assert np.all(tr.gen_p_elec[after, j] == 0.0)
+        assert np.ptp(tr.gen_speed_dev[after, 1 - j]) > 0.0
 
     def test_rejects_nonpositive_inertia(self):
-        with pytest.raises(ValueError):
-            swing_step(MachineState(), 0.0, 0.0, h=0.0, d=1.0, f0=60.0, dt=0.01)
+        doc = two_bus_doc()
+        doc["generators"][0]["h"] = 0.0
+        with pytest.raises(GridConfigError, match="inertia"):
+            run_scenario(gf.load_grid_config(doc),
+                         Scenario(name="x", case="A", duration_s=1.0))
+
+
+# ---------------------------------------------------------------------------
+# one call on a bank of units equals one scalar call per unit
+# ---------------------------------------------------------------------------
+
+def units(bank) -> list:
+    """Scalar dataclasses, one per unit, from a dataclass of arrays."""
+    n = max(np.size(getattr(bank, f.name)) for f in fields(bank))
+    return [type(bank)(**{f.name: (v[i].item() if np.ndim(v) else v)
+                          for f in fields(bank) for v in [getattr(bank, f.name)]})
+            for i in range(n)]
+
+
+def assert_same_bits(got, want: list):
+    """``got`` (bank result) holds exactly the scalar results ``want``."""
+    if isinstance(got, tuple):
+        for g, w in zip(got, zip(*want)):
+            assert_same_bits(g, list(w))
+    elif hasattr(got, "__dataclass_fields__"):
+        for f in fields(got):
+            assert_same_bits(getattr(got, f.name), [getattr(w, f.name) for w in want])
+    else:
+        np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
+                                      np.array(want, dtype=float).view(np.int64))
+
+
+def real(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+DT = real(1e-4, 0.05)
+
+
+@st.composite
+def banks(draw, make):
+    """A bank of 1 to 64 units from ``make(values, flags)``, its continuous
+    fields drawn from a seeded generator.  Values must be many and
+    distinct: a last-bit difference between bank and scalar arithmetic
+    (such as ``x ** 2`` on a scalar, which goes through libm pow) shows on
+    roughly one value in a thousand."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return make(lambda lo, hi: rng.uniform(lo, hi, n), lambda: rng.random(n) < 0.25)
+
+
+def steam_bank(values, flags):
+    # large speed deviations against slow servos reach the valve rate
+    # limit; caps below the valve demand reach the valve cap
+    state = SteamGovState(
+        load_ref=values(0.0, 1.0), relay_out=values(-1.0, 3.0),
+        valve=values(0.0, 1.5), p_chest=values(0.0, 1.5),
+        p_reheat=values(0.0, 1.5), p_crossover=values(0.0, 1.5),
+        valve_cap=np.where(flags(), math.inf, values(0.0, 1.5)))
+    params = SteamParams(
+        gain=values(5.0, 50.0), t_relay=values(1e-3, 0.1),
+        t_servo=values(0.02, 0.5), rate_open=values(0.01, 0.5),
+        rate_close=values(-0.5, -0.01), t_chest=values(0.05, 1.0),
+        t_reheat=values(1.0, 10.0), t_crossover=values(0.1, 1.0),
+        f_hp=values(0.0, 0.5), f_ip=values(0.0, 0.5), f_lp=values(0.0, 0.5))
+    return state, params, values(-0.1, 0.1)
+
+
+def hydro_bank(values, flags):
+    # gates at the cap or closed, where the integrator holds (anti-windup)
+    # when the error pushes outward; gates below the floor
+    gate_cap = values(0.2, 1.0)
+    gate = np.where(flags(), gate_cap, values(0.0, 1.0) * gate_cap)
+    gate = np.where(flags(), 0.0, np.where(flags(), GATE_FLOOR / 2, gate))
+    state = HydroGovState(
+        pid_int=values(-0.5, 0.5), pid_filt=values(-0.1, 0.1),
+        servo_vel=values(-0.5, 0.5), gate=gate, flow=values(0.0, 1.2),
+        power_ref=values(0.0, 0.9), gate_cap=gate_cap)
+    params = HydroParams(
+        kp=values(0.0, 3.0), ki=values(0.0, 1.0),
+        kd=np.where(flags(), 0.0, values(0.0, 1.0)), t_filter=values(0.005, 0.1),
+        servo_gain=values(0.5, 10.0), t_servo=values(0.02, 0.5),
+        droop=values(0.01, 0.1), droop_on_power=flags(),
+        t_water=values(0.5, 3.0), q_nl=values(0.0, 0.2), a_t=values(0.8, 1.5))
+    return state, params, values(-0.1, 0.1), values(-1.0, 1.0)
+
+
+class TestBankEqualsScalarCalls:
+    @given(banks(lambda values, flags: (values(-5.0, 5.0), values(-5.0, 5.0),
+                                          values(1e-4, 10.0))), DT)
+    def test_lag(self, bank, dt):
+        assert_same_bits(_lag(*bank, dt),
+                         [_lag(x, u, tau, dt) for x, u, tau in zip(*bank)])
+
+    @given(banks(steam_bank), DT)
+    def test_steam_governor(self, bank, dt):
+        s, p, dw = bank
+        assert_same_bits(steam_governor_step(s, p, dw, dt),
+                         [steam_governor_step(*unit, dt)
+                          for unit in zip(units(s), units(p), dw)])
+
+    @given(banks(steam_bank), DT, st.booleans())
+    def test_steam_turbine(self, bank, dt, with_prev):
+        s, p, dw = bank
+        prev = s.valve + dw if with_prev else [None] * len(dw)
+        assert_same_bits(
+            steam_turbine_step(s, p, dt, valve_prev=prev if with_prev else None),
+            [steam_turbine_step(*unit, dt, valve_prev=v)
+             for *unit, v in zip(units(s), units(p), prev)])
+
+    @given(banks(hydro_bank), DT)
+    def test_hydro_governor(self, bank, dt):
+        s, p, dw, dpe = bank
+        assert_same_bits(hydro_governor_step(s, p, dw, dpe, dt),
+                         [hydro_governor_step(*unit, dt)
+                          for unit in zip(units(s), units(p), dw, dpe)])
+
+    @given(banks(hydro_bank), DT, st.booleans())
+    def test_hydro_turbine(self, bank, dt, with_prev):
+        s, p, dw, _ = bank
+        prev = np.maximum(s.gate + dw, 0.0) if with_prev else [None] * len(dw)
+        assert_same_bits(
+            hydro_turbine_step(s, p, dt, gate_prev=prev if with_prev else None),
+            [hydro_turbine_step(*unit, dt, gate_prev=g)
+             for *unit, g in zip(units(s), units(p), prev)])
+
+    @given(banks(lambda values, flags: (values(-50.0, 50.0), values(-50.0, 50.0),
+                                          values(-5.0, 5.0))),
+           DT, real(0.01, 0.5), st.booleans())
+    def test_frequency_estimator(self, bank, dt, tau, primed):
+        theta, prev, filt = bank
+        if not primed:
+            prev = [None] * len(theta)
+        assert_same_bits(
+            estimate_frequency(theta, prev if primed else None, filt, dt, tau, 60.0),
+            [estimate_frequency(t, p, f, dt, tau, 60.0)
+             for t, p, f in zip(theta, prev, filt)])

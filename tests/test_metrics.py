@@ -157,6 +157,14 @@ class TestSerialization:
         with pytest.raises(MetricsError, match="missing key"):
             metrics_from_dict({"r_ls": 0.1, "t_ls_s": 1.0})
 
+    def test_unknown_schema_version_rejected(self):
+        d = metrics_to_dict(Metrics(r_ls=0.1, t_ls_s=1.0, eens_mwh=0.5))
+        d["schema_version"] = 2
+        with pytest.raises(MetricsError, match="schema version 2"):
+            metrics_from_dict(d)
+        del d["schema_version"]
+        assert metrics_from_dict(d).eens_mwh == 0.5
+
     def test_load_metrics_bad_json(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text("{not json")

@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from gridfreq.protection import (SHED_LEVELS, FrequencyEstimator,
-                                 UflsRelayState, estimate_bus_frequency,
+from gridfreq.protection import (SHED_LEVELS, UflsRelayState,
+                                 estimate_frequency,
                                  restoration_level_for_frequency,
                                  shed_level_for_frequency, ufls_step)
 
@@ -173,40 +173,40 @@ class TestRelay:
                 assert r.level in SHED_LEVELS
 
 
+def ramp_estimates(w, n, dt=0.01, tau=0.05):
+    """Estimator output after n samples of angles advancing at rate w."""
+    theta, prev, filt = 0.0 * w, None, 0.0 * w
+    for _ in range(n):
+        theta = theta + w * dt
+        filt, f = estimate_frequency(theta, prev, filt, dt, tau, F0)
+        prev = theta
+    return f
+
+
 class TestFrequencyEstimator:
     def test_constant_ramp_converges_to_offset(self):
         """theta advancing at constant rate w -> f converges to
         f0 + w / 2 pi with the filter's exponential transient."""
         w = 0.8                        # rad/s
-        dt = 0.01
-        e = FrequencyEstimator(f0=F0, tau=0.05)
-        theta, f = 0.0, F0
-        for _ in range(200):
-            theta += w * dt
-            e, f = estimate_bus_frequency(e, theta, dt)
+        f = ramp_estimates(w, 200)
         assert f == pytest.approx(F0 + w / (2 * math.pi), abs=1e-9)
 
     def test_filter_transient_matches_closed_form(self):
         """After n samples of a constant-rate ramp the filtered estimate
-        is the exact discrete exponential approach."""
-        w, dt, tau = 1.0, 0.01, 0.05
-        e = FrequencyEstimator(f0=F0, tau=tau)
-        theta = 0.0
+        is the exact discrete exponential approach, bus by bus."""
+        w, dt, tau = np.array([1.0, -0.3, 2.5]), 0.01, 0.05
         n = 10
-        for _ in range(n):
-            theta += w * dt
-            e, f = estimate_bus_frequency(e, theta, dt)
+        f = ramp_estimates(w, n, dt, tau)
         # the first sample only primes prev_theta (raw derivative 0),
         # so n calls apply n-1 ramp-derivative filter updates
         alpha = 1.0 - math.exp(-dt / tau)
         want_filt = w * (1.0 - (1.0 - alpha) ** (n - 1))
-        assert f == pytest.approx(F0 + want_filt / (2 * math.pi), rel=1e-12)
+        np.testing.assert_allclose(f, F0 + want_filt / (2 * math.pi), rtol=1e-12)
 
     def test_first_sample_has_no_derivative(self):
-        e = FrequencyEstimator(f0=F0)
-        e, f = estimate_bus_frequency(e, 5.0, 0.01)
+        _, f = estimate_frequency(5.0, None, 0.0, 0.01, 0.05, F0)
         assert f == F0
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            estimate_bus_frequency(FrequencyEstimator(), 0.0, 0.0)
+            estimate_frequency(0.0, None, 0.0, 0.0, 0.05, F0)
