@@ -8,8 +8,7 @@ from .grid import (BusSpec, GeneratorSpec, GridConfigError, GridModel,
 from .machines import (HydroGovState, HydroParams, SteamGovState, SteamParams,
                        hydro_governor_step, hydro_init, hydro_turbine_step,
                        steam_governor_step, steam_init, steam_turbine_step)
-from .profiles import (MinuteSeries, NoiseParams, SecondSeries,
-                       make_load_profile, resample_wind, scale_wind)
+from .profiles import make_load_profile, resample_wind, scale_wind
 from .dispatch import (ErrorCdf, ideal_battery_injection, perturb_injection,
                        placeholder_error_cdf, zero_error_cdf)
 from .protection import (UflsRelayState, estimate_frequency,

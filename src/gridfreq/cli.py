@@ -48,6 +48,12 @@ def _run_one(args):
 
 def cmd_run(args) -> int:
     if args.manifest:
+        given = [flag for flag, v in (("--scenario", args.scenario),
+                                      ("--seed", args.seed)) if v is not None]
+        if given:
+            print(f"error: {' and '.join(given)} cannot be combined with "
+                  f"--manifest; set it in the manifest", file=sys.stderr)
+            return EXIT_VALIDATION
         doc = yaml.safe_load(Path(args.manifest).read_text())
         grid_spec = doc.get("grid", "ieee39")
         scenario_paths = doc.get("scenarios", [])
@@ -119,11 +125,11 @@ def cmd_synth_profiles(args) -> int:
             src = profiles.synthetic_minute_walk(
                 n_minutes=args.minutes, start=args.start,
                 sigma=args.walk_sigma, seed=args.seed)
-        pu = profiles.resample_wind(
-            src, profiles.NoiseParams(sigma=args.sigma, seed=args.seed))
-        out = (profiles.scale_wind(pu, args.rating)
-               if args.rating else pu)
-        profiles.write_second_csv(out, args.output)
+        out = profiles.resample_wind(src, args.sigma, args.seed)
+        unit = "pu"
+        if args.rating:
+            out, unit = profiles.scale_wind(out, args.rating), "mw"
+        profiles.write_second_csv(out, args.output, unit)
     except (profiles.ProfileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

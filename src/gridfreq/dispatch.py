@@ -5,7 +5,7 @@ to keep the bus's net injection on its day-ahead schedule.  The ideal
 injection compensates the deviation between realized and scheduled net
 power; imperfect tracking is modeled by a multiplicative error sampled
 from an empirical CDF.  The battery is a pure power actor: no dynamics,
-and by default no energy or power constraint.
+and no energy or power constraint.
 """
 
 from __future__ import annotations

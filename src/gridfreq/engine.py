@@ -27,8 +27,7 @@ import yaml
 from . import dispatch as dispatch_mod
 from . import machines as mach
 from .grid import GridModel, GridConfigError, IslandingError, build_full_susceptance_matrix, solve_dc_flow, build_susceptance_matrix
-from .profiles import (NoiseParams, ProfileError, SecondSeries,
-                       resample_wind, scale_wind, make_load_profile,
+from .profiles import (ProfileError, resample_wind, scale_wind, make_load_profile,
                        synthetic_minute_walk, synthetic_second_multiplier)
 from .protection import UflsRelayState, estimate_frequency, ufls_step
 
@@ -69,7 +68,9 @@ class Scenario:
             raise ScenarioError(f"scenario {self.name}: output_dt_s {self.output_dt_s} "
                                 f"is not a whole multiple of dt_s {self.dt_s}")
         for ev in self.events:
-            if not 0.0 <= ev.time_s <= self.duration_s:
+            # an event fires before a step, and the last step starts at
+            # duration_s - dt_s
+            if ev.time_s < 0.0 or round(ev.time_s / self.dt_s) >= round(steps):
                 raise ScenarioError(
                     f"scenario {self.name}: event at {ev.time_s}s outside horizon")
 
@@ -129,12 +130,6 @@ class SimParams:
     ufls_restore_delay: float = 10.0
     freq_filter_tau: float = 0.05
     error_cdf: str = "placeholder"  # 'placeholder' | 'zero' | CSV path
-    battery_power_cap_mw: float | None = None
-    deterministic_profiles: bool = False
-    # Permanent-droop feedback source for hydro governors.  Gate position
-    # keeps the non-minimum-phase turbine out of the droop loop, which the
-    # reduced-order model needs for a well-damped regulation mode.
-    hydro_droop_on_power: bool = False
 
     @classmethod
     def from_model(cls, model: GridModel, **overrides) -> "SimParams":
@@ -159,19 +154,17 @@ def _bus_seed(master: int, bus: int, stream: int) -> np.random.SeedSequence:
 class ProfileSet:
     """Per-bus 1 s series for one scenario run (shared by paired A/B runs)."""
 
-    wind_mw: dict[int, SecondSeries]       # realized wind per wind bus
-    load_mw: dict[int, SecondSeries]       # realized (pre-shed) load per load bus
-    wind_sched_mw: dict[int, float]
-    load_sched_mw: dict[int, float]
+    wind_mw: dict[int, np.ndarray]         # realized wind per wind bus
+    load_mw: dict[int, np.ndarray]         # realized (pre-shed) load per load bus
     battery_eps: dict[int, np.ndarray]     # per dispatched bus, per second
 
     def fingerprint(self) -> str:
         """Hash of the stochastic wind/load realizations (seed-pairing check)."""
         h = hashlib.sha256()
         for bus in sorted(self.wind_mw):
-            h.update(self.wind_mw[bus].values.tobytes())
+            h.update(self.wind_mw[bus].tobytes())
         for bus in sorted(self.load_mw):
-            h.update(self.load_mw[bus].values.tobytes())
+            h.update(self.load_mw[bus].tobytes())
         return h.hexdigest()
 
 
@@ -179,16 +172,15 @@ def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
                    overrides: dict | None = None) -> ProfileSet:
     """Generate (or take over) all per-bus profiles for one run.
 
-    ``overrides`` maps bus id to {'wind': SecondSeries, 'load': SecondSeries}
-    in MW, bypassing synthesis for that bus.
+    ``overrides`` maps bus id to {'wind': array, 'load': array} of 1-s
+    values in MW, bypassing synthesis for that bus.  With the four noise
+    sigmas at 0 every profile is flat at its schedule.
     """
     overrides = overrides or {}
     n_seconds = int(math.ceil(scenario.duration_s)) + 2
     n_minutes = n_seconds // 60 + 2
-    wind_mw: dict[int, SecondSeries] = {}
-    load_mw: dict[int, SecondSeries] = {}
-    wind_sched: dict[int, float] = {}
-    load_sched: dict[int, float] = {}
+    wind_mw: dict[int, np.ndarray] = {}
+    load_mw: dict[int, np.ndarray] = {}
     eps: dict[int, np.ndarray] = {}
 
     cdf = _resolve_error_cdf(params)
@@ -196,53 +188,39 @@ def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
     for b in model.buses:
         ov = overrides.get(b.id, {})
         if b.wind_mw is not None:
-            wind_sched[b.id] = b.wind_mw * params.wind_schedule_pu
             if "wind" in ov:
                 wind_mw[b.id] = _checked_override(ov["wind"], n_seconds, b.id)
-            elif params.deterministic_profiles:
-                vals = np.full(n_seconds, wind_sched[b.id])
-                wind_mw[b.id] = SecondSeries(values=vals, kind="wind", bus=b.id,
-                                             baseline_mw=b.wind_mw)
             else:
                 src = synthetic_minute_walk(
                     n_minutes, start=params.wind_schedule_pu,
                     sigma=params.wind_minute_sigma,
                     seed=_bus_seed(scenario.seed, b.id, 1))
-                pu = resample_wind(src, NoiseParams(
-                    sigma=params.wind_resample_sigma,
-                    seed=_bus_seed(scenario.seed, b.id, 2)))
-                wind_mw[b.id] = scale_wind(pu, b.wind_mw, bus=b.id)
+                pu = resample_wind(src, params.wind_resample_sigma,
+                                   _bus_seed(scenario.seed, b.id, 2))
+                wind_mw[b.id] = scale_wind(pu, b.wind_mw)
         if b.load_mw is not None:
-            forecast = b.load_mw * params.load_scale
-            load_sched[b.id] = forecast
             if "load" in ov:
                 load_mw[b.id] = _checked_override(ov["load"], n_seconds, b.id)
-            elif params.deterministic_profiles:
-                vals = np.ones(n_seconds)
-                load_mw[b.id] = make_load_profile(
-                    SecondSeries(values=vals, kind="load"), forecast, bus=b.id)
             else:
                 mult = synthetic_second_multiplier(
                     n_seconds, mean=1.0,
                     sigma_slow=params.load_slow_sigma,
                     sigma_fast=params.load_fast_sigma,
                     seed=_bus_seed(scenario.seed, b.id, 3))
-                load_mw[b.id] = make_load_profile(mult, forecast, bus=b.id)
+                load_mw[b.id] = make_load_profile(mult, b.load_mw * params.load_scale)
         if b.dispatched:
             rng = np.random.default_rng(_bus_seed(scenario.seed, b.id, 4))
             eps[b.id] = np.asarray(cdf.sample(rng, n_seconds), dtype=float)
 
-    return ProfileSet(wind_mw=wind_mw, load_mw=load_mw,
-                      wind_sched_mw=wind_sched, load_sched_mw=load_sched,
-                      battery_eps=eps)
+    return ProfileSet(wind_mw=wind_mw, load_mw=load_mw, battery_eps=eps)
 
 
-def _checked_override(series: SecondSeries, n_seconds: int,
-                      bus: int) -> SecondSeries:
-    if len(series) < n_seconds or not np.all(np.isfinite(series.values)):
+def _checked_override(values, n_seconds: int, bus: int) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or len(v) < n_seconds or not np.all(np.isfinite(v)):
         raise ProfileError(f"bus {bus}: a profile override needs {n_seconds} "
-                           f"finite 1-s samples, got {len(series)} samples")
-    return series
+                           f"finite 1-s samples in one dimension, got shape {v.shape}")
+    return v
 
 
 def _resolve_error_cdf(params: SimParams) -> dispatch_mod.ErrorCdf:
@@ -351,17 +329,22 @@ class SystemState:
 def _machine_params(gen, params: SimParams):
     ov = gen.overrides
     if gen.kind == "thermal":
-        base = mach.SteamParams(gain=1.0 / params.droop)
-        mp = replace(base, **{k: v for k, v in ov.items()
-                              if k in {f.name for f in fields(mach.SteamParams)}})
-        h = float(ov.get("h", params.h_thermal))
+        base, h = mach.SteamParams(gain=1.0 / params.droop), params.h_thermal
     else:
-        base = mach.HydroParams(droop=params.droop,
-                                droop_on_power=params.hydro_droop_on_power)
-        mp = replace(base, **{k: v for k, v in ov.items()
-                              if k in {f.name for f in fields(mach.HydroParams)}})
+        # Permanent droop feeds back gate position, not power: that keeps
+        # the non-minimum-phase turbine out of the droop loop, which the
+        # reduced-order model needs for a well-damped regulation mode.
+        base = mach.HydroParams(droop=params.droop, droop_on_power=False)
+        h = params.h_hydro
+    kind_keys = {f.name for f in fields(base)}
+    unused = set(ov) - kind_keys - {"h", "d", "coupling_x"}
+    if unused:
+        raise GridConfigError(f"generator {gen.id}: {gen.kind} units take no "
+                              f"parameters {sorted(unused)}")
+    mp = replace(base, **{k: v for k, v in ov.items() if k in kind_keys})
+    if gen.kind == "hydro":
         mp = replace(mp, a_t=mp.turbine_gain)
-        h = float(ov.get("h", params.h_hydro))
+    h = float(ov.get("h", h))
     d = float(ov.get("d", params.damping))
     x = float(ov.get("coupling_x", params.coupling_x))
     return mp, h, d, x
@@ -394,11 +377,14 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                             f"profile sets: need one per member, at least one")
     n = len(model.buses)
     n_members = len(scenarios)
-    idx = {b.id: i for i, b in enumerate(model.buses)}
+    idx = model.bus_pos
 
-    sched = profiles[0]
-    total_load = sum(sched.load_sched_mw.values())
-    total_wind = sum(sched.wind_sched_mw.values())
+    # scheduled wind and forecast load, summed by Python in bus order:
+    # np.sum is pairwise and would move the operating point's last bit
+    wind_sched = {b.id: b.wind_mw * params.wind_schedule_pu for b in model.wind_buses}
+    load_sched = {b.id: b.load_mw * params.load_scale for b in model.load_buses}
+    total_load = sum(load_sched.values())
+    total_wind = sum(wind_sched.values())
     gens = model.generators
     total_rating = sum(g.rating_mva for g in gens)
     p_conv = total_load - total_wind
@@ -407,9 +393,9 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     loading = p_conv / total_rating          # identical machine p.u. set-point
 
     inj = np.zeros(n)
-    for bus, w in sched.wind_sched_mw.items():
+    for bus, w in wind_sched.items():
         inj[idx[bus]] += w
-    for bus, l in sched.load_sched_mw.items():
+    for bus, l in load_sched.items():
         inj[idx[bus]] -= l
     for g in gens:
         inj[idx[g.bus]] += loading * g.rating_mva
@@ -448,18 +434,12 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     battery = np.zeros((n_seconds, n_members * len(dispatched)))
     for m, (sc, prof) in enumerate(zip(scenarios, profiles)):
         for j, bus in enumerate(dispatched if sc.case == "B" else ()):
-            w_ts = (prof.wind_mw[bus].values[:n_seconds]
-                    if bus in prof.wind_mw else 0.0)
-            l_ts = (prof.load_mw[bus].values[:n_seconds]
-                    if bus in prof.load_mw else 0.0)
+            w_ts = prof.wind_mw[bus][:n_seconds] if bus in prof.wind_mw else 0.0
+            l_ts = prof.load_mw[bus][:n_seconds] if bus in prof.load_mw else 0.0
             b_star = dispatch_mod.ideal_battery_injection(
-                prof.wind_sched_mw.get(bus, 0.0),
-                prof.load_sched_mw.get(bus, 0.0), w_ts, l_ts)
+                wind_sched.get(bus, 0.0), load_sched.get(bus, 0.0), w_ts, l_ts)
             battery[:, m * len(dispatched) + j] = dispatch_mod.perturb_injection(
                 b_star, prof.battery_eps[bus][:n_seconds])
-    cap = params.battery_power_cap_mw
-    if cap is not None:
-        np.clip(battery, -cap, cap, out=battery)
     n_gen = len(gens)
     state = SystemState(
         model=model, params=params, n_members=n_members,
@@ -474,10 +454,10 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                                restore_delay=params.ufls_restore_delay)
                 for _ in profiles for b in model.load_buses],
         load_bus_idx=flat([idx[b.id] for b in model.load_buses], n),
-        load_mw=_per_second([p.load_mw[b.id].values for p in profiles
+        load_mw=_per_second([p.load_mw[b.id] for p in profiles
                              for b in model.load_buses], n_seconds),
         wind_bus_idx=flat([idx[b.id] for b in model.wind_buses], n),
-        wind_mw=_per_second([p.wind_mw[b.id].values for p in profiles
+        wind_mw=_per_second([p.wind_mw[b.id] for p in profiles
                              for b in model.wind_buses], n_seconds),
         battery_bus_idx=flat([idx[bus] for bus in dispatched], n),
         battery_mw=battery,
@@ -661,26 +641,26 @@ class Trajectory:
             cols += [f"load{b}_expected", f"load{b}_served", f"load{b}_shed"]
         cols += [f"wind{b}" for b in self.wind_bus_ids]
         cols += [f"bat{b}" for b in self.dispatched_bus_ids]
-        blocks = [self.times[:, None], self.bus_freq]
-        for j in range(len(self.gen_ids)):
-            blocks += [self.gen_p_mech[:, j:j + 1], self.gen_p_elec[:, j:j + 1],
-                       self.gen_speed_dev[:, j:j + 1]]
-        for j in range(len(self.load_bus_ids)):
-            blocks += [self.load_expected_mw[:, j:j + 1],
-                       self.load_served_mw[:, j:j + 1],
-                       self.shed_level[:, j:j + 1]]
-        blocks.append(self.wind_mw)
-        blocks.append(self.battery_mw)
-        data = np.hstack(blocks)
+        # filled in place: stacking the per-generator and per-load triples
+        # would copy them first and raise the peak memory of an export
+        data = np.empty((len(self.times), len(cols)))
+        c = 1 + len(self.bus_ids)
+        data[:, 0], data[:, 1:c] = self.times, self.bus_freq
+        for triple in ((self.gen_p_mech, self.gen_p_elec, self.gen_speed_dev),
+                       (self.load_expected_mw, self.load_served_mw, self.shed_level)):
+            width = 3 * triple[0].shape[1]
+            for k, a in enumerate(triple):
+                data[:, c + k:c + width:3] = a
+            c += width
+        n_wind = self.wind_mw.shape[1]
+        data[:, c:c + n_wind], data[:, c + n_wind:] = self.wind_mw, self.battery_mw
         with open(path, "w", newline="") as f:
-            f.write(",".join(cols) + "\n")
-            for row in data:
-                f.write(",".join(f"{v:.10g}" for v in row) + "\n")
+            np.savetxt(f, data, fmt="%.10g", delimiter=",",
+                       header=",".join(cols), comments="")
 
 
 def run_scenario(model: GridModel, scenario: Scenario,
                  params: SimParams | None = None,
-                 profile_overrides: dict | None = None,
                  profiles: ProfileSet | None = None) -> Trajectory:
     """Run one scenario to completion.
 
@@ -691,7 +671,7 @@ def run_scenario(model: GridModel, scenario: Scenario,
     if params is None:
         params = SimParams.from_model(model)
     if profiles is None:
-        profiles = build_profiles(model, scenario, params, profile_overrides)
+        profiles = build_profiles(model, scenario, params)
     return run_ensemble(model, [scenario], params, [profiles])[0]
 
 
@@ -763,7 +743,7 @@ def run_ensemble(model: GridModel, scenarios: list[Scenario],
 
     return [Trajectory(
         scenario_name=sc.name, case=sc.case, seed=sc.seed,
-        dt_out=dec * dt, bus_ids=model.bus_ids,
+        dt_out=dec * dt, bus_ids=list(model.bus_ids),
         gen_ids=[g.id for g in model.generators],
         load_bus_ids=[b.id for b in model.load_buses],
         wind_bus_ids=[b.id for b in model.wind_buses],

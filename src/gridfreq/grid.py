@@ -9,6 +9,7 @@ angles through a nodal susceptance (Laplacian) matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -108,21 +109,26 @@ class GridModel:
                     f"wind ratings sum to {total} MW, expected "
                     f"{self.expected_wind_total_mw} MW")
 
-    # -- index helpers -----------------------------------------------------
+    # -- index helpers (computed once per model) ---------------------------
 
-    @property
-    def bus_ids(self) -> list[int]:
-        return [b.id for b in self.buses]
+    @cached_property
+    def bus_ids(self) -> tuple[int, ...]:
+        return tuple(b.id for b in self.buses)
+
+    @cached_property
+    def bus_pos(self) -> dict[int, int]:
+        """Bus id -> position in ``buses``."""
+        return {b.id: i for i, b in enumerate(self.buses)}
 
     def bus_index(self, bus_id: int) -> int:
         try:
-            return self.bus_ids.index(bus_id)
-        except ValueError:
+            return self.bus_pos[bus_id]
+        except KeyError:
             raise KeyError(f"no bus {bus_id}") from None
 
-    @property
-    def generators(self) -> list[GeneratorSpec]:
-        return [b.generator for b in self.buses if b.generator is not None]
+    @cached_property
+    def generators(self) -> tuple[GeneratorSpec, ...]:
+        return tuple(b.generator for b in self.buses if b.generator is not None)
 
     def generator(self, gen_id: str) -> GeneratorSpec:
         for g in self.generators:
@@ -130,19 +136,19 @@ class GridModel:
                 return g
         raise KeyError(f"no generator {gen_id}")
 
-    @property
-    def load_buses(self) -> list[BusSpec]:
-        return [b for b in self.buses if b.load_mw is not None]
+    @cached_property
+    def load_buses(self) -> tuple[BusSpec, ...]:
+        return tuple(b for b in self.buses if b.load_mw is not None)
 
-    @property
-    def wind_buses(self) -> list[BusSpec]:
-        return [b for b in self.buses if b.wind_mw is not None]
+    @cached_property
+    def wind_buses(self) -> tuple[BusSpec, ...]:
+        return tuple(b for b in self.buses if b.wind_mw is not None)
 
     def _is_connected(self) -> bool:
         n = len(self.buses)
         if n <= 1:
             return True
-        idx = {b.id: i for i, b in enumerate(self.buses)}
+        idx = self.bus_pos
         rows = [idx[ln.from_bus] for ln in self.lines]
         cols = [idx[ln.to_bus] for ln in self.lines]
         adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
@@ -155,7 +161,7 @@ class GridModel:
 def build_full_susceptance_matrix(model: GridModel) -> sp.csr_matrix:
     """Nodal susceptance Laplacian over all buses (row sums are zero)."""
     n = len(model.buses)
-    idx = {b.id: i for i, b in enumerate(model.buses)}
+    idx = model.bus_pos
     rows, cols, vals = [], [], []
     for ln in model.lines:
         i, j, b = idx[ln.from_bus], idx[ln.to_bus], ln.susceptance
@@ -196,7 +202,7 @@ def solve_dc_flow(b_reduced: sp.spmatrix, injections_mw: np.ndarray,
 
 def line_flows_mw(model: GridModel, theta: np.ndarray) -> np.ndarray:
     """Per-line MW flow in the from->to direction."""
-    idx = {b.id: i for i, b in enumerate(model.buses)}
+    idx = model.bus_pos
     flows = np.empty(len(model.lines))
     for m, ln in enumerate(model.lines):
         flows[m] = ln.susceptance * (theta[idx[ln.from_bus]] - theta[idx[ln.to_bus]])

@@ -11,7 +11,6 @@ is driven by explicit seeds, so profiles replay bit-identically.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,99 +20,59 @@ class ProfileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MinuteSeries:
-    """Per-unit series at 60 s resolution, bounded to [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise ProfileError("minute series must be one-dimensional")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
-            raise ProfileError("minute series values must lie in [0, 1]")
-
-    def __len__(self) -> int:
-        return len(self.values)
+def _minute_values(minutes) -> np.ndarray:
+    """Per-unit minute data as a 1-D float array within [0, 1]."""
+    v = np.asarray(minutes, dtype=float)
+    if v.ndim != 1:
+        raise ProfileError("minute series must be one-dimensional")
+    if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):    # NaN fails too
+        raise ProfileError("minute series values must lie in [0, 1]")
+    return v
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    sigma: float = 0.002     # std of per-second increments, p.u.
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ProfileError("sigma must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SecondSeries:
-    """Power series at 1 s resolution."""
-
-    values: np.ndarray
-    kind: str = "wind"             # 'wind' | 'load' | 'battery'
-    bus: int | None = None
-    baseline_mw: float | None = None    # forecast W^b or L^b
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def at(self, second: int) -> float:
-        """Value at integer second, held at the last sample past the end."""
-        i = min(int(second), len(self.values) - 1)
-        return float(self.values[i])
-
-
-def resample_wind(x: MinuteSeries, p: NoiseParams) -> SecondSeries:
-    """Resample a minute series to 1 s with Gaussian increment noise.
+def resample_wind(minutes, sigma: float, seed) -> np.ndarray:
+    """Resample a per-unit minute series to 1 s with Gaussian increment noise.
 
     For minute t the 60 increments are N(mean_t, sigma^2) with
     mean_t = (x[t+1] - x[t])/60; the cumulative sum restarts from x[t]
     at each minute boundary, so a zero-sigma run interpolates the minute
     series exactly.  Output is clamped to [0, 1].
     """
-    v = x.values
+    v = _minute_values(minutes)
     if len(v) < 2:
         raise ProfileError("minute series needs at least 2 samples to resample")
-    rng = np.random.default_rng(p.seed)
+    if sigma < 0:
+        raise ProfileError("sigma must be nonnegative")
+    rng = np.random.default_rng(seed)
     nmin = len(v) - 1
     means = np.diff(v) / 60.0
-    incr = rng.normal(means[:, None], p.sigma, size=(nmin, 60))
+    incr = rng.normal(means[:, None], sigma, size=(nmin, 60))
     blocks = v[:-1, None] + np.cumsum(incr, axis=1)
     out = np.empty(nmin * 60 + 1)
     out[0] = v[0]
     out[1:] = blocks.ravel()
     np.clip(out, 0.0, 1.0, out=out)
-    return SecondSeries(values=out, kind="wind")
+    return out
 
 
-def scale_wind(omega: SecondSeries, rating_mw: float, bus: int | None = None) -> SecondSeries:
+def scale_wind(omega, rating_mw: float) -> np.ndarray:
     """Scale a per-unit wind profile by the farm rating (Eq. W = W_b * omega)."""
     if rating_mw <= 0:
         raise ProfileError("wind rating must be positive")
-    return SecondSeries(values=omega.values * rating_mw, kind="wind",
-                        bus=bus, baseline_mw=rating_mw)
+    return np.asarray(omega, dtype=float) * rating_mw
 
 
-def make_load_profile(l: SecondSeries, forecast_mw: float,
-                      bus: int | None = None) -> SecondSeries:
+def make_load_profile(mult, forecast_mw: float) -> np.ndarray:
     """Scale a per-unit load multiplier profile by the bus forecast."""
     if forecast_mw <= 0:
         raise ProfileError("load forecast must be positive")
-    return SecondSeries(values=l.values * forecast_mw, kind="load",
-                        bus=bus, baseline_mw=forecast_mw)
+    return np.asarray(mult, dtype=float) * forecast_mw
 
 
 # -- bundled synthetic sources ---------------------------------------------
 
 def synthetic_minute_walk(n_minutes: int, start: float, sigma: float,
-                          seed: int, lo: float = 0.0, hi: float = 1.0) -> MinuteSeries:
+                          seed: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Bounded random walk at minute resolution (synthetic wind source)."""
     rng = np.random.default_rng(seed)
     steps = rng.normal(0.0, sigma, size=n_minutes)
@@ -123,12 +82,12 @@ def synthetic_minute_walk(n_minutes: int, start: float, sigma: float,
     for i, s in enumerate(steps):
         x = min(max(x + s, lo), hi)
         out[i + 1] = x
-    return MinuteSeries(values=out)
+    return out
 
 
 def synthetic_second_multiplier(n_seconds: int, mean: float, sigma_slow: float,
                                 sigma_fast: float, seed: int,
-                                lo: float = 0.8, hi: float = 1.2) -> SecondSeries:
+                                lo: float = 0.8, hi: float = 1.2) -> np.ndarray:
     """Per-unit multiplier around ``mean``: minute-scale walk plus fast noise.
 
     Used as the synthetic stand-in for measured 1-second demand data.
@@ -141,13 +100,12 @@ def synthetic_second_multiplier(n_seconds: int, mean: float, sigma_slow: float,
     t_sec = np.arange(n_seconds, dtype=float)
     slow = np.interp(t_sec, t_min, walk)
     fast = rng.normal(0.0, sigma_fast, size=n_seconds)
-    vals = np.clip(mean + slow + fast, lo, hi)
-    return SecondSeries(values=vals, kind="load")
+    return np.clip(mean + slow + fast, lo, hi)
 
 
 # -- CSV I/O ---------------------------------------------------------------
 
-def read_minute_csv(path: str | Path) -> MinuteSeries:
+def read_minute_csv(path: str | Path) -> np.ndarray:
     """Read (timestamp, per-unit value) rows at 60 s resolution."""
     vals = []
     with open(path, newline="") as f:
@@ -160,14 +118,15 @@ def read_minute_csv(path: str | Path) -> MinuteSeries:
                 vals.append(float(row[-1]))
             except ValueError as exc:
                 raise ProfileError(f"{path}:{lineno}: bad value {row[-1]!r}") from exc
-    return MinuteSeries(values=np.array(vals))
+    return _minute_values(vals)
 
 
-def write_second_csv(series: SecondSeries, path: str | Path) -> None:
+def write_second_csv(values, path: str | Path, unit: str = "pu") -> None:
+    """Write a 1-s series as (second, value) rows; ``unit`` is 'pu' or 'mw'."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["second", "value_mw" if series.baseline_mw else "value_pu"])
-        for i, v in enumerate(series.values):
+        w.writerow(["second", f"value_{unit}"])
+        for i, v in enumerate(values):
             w.writerow([i, f"{v:.10g}"])
 
 

@@ -4,6 +4,11 @@ import pytest
 
 import gridfreq as gf
 
+# SimParams overrides for flat profiles: every wind and load series holds
+# its schedule
+FLAT = {"wind_minute_sigma": 0.0, "wind_resample_sigma": 0.0,
+        "load_slow_sigma": 0.0, "load_fast_sigma": 0.0}
+
 
 def two_bus_doc(rating=1000.0, load=500.0, kind="thermal"):
     """Minimal connected model: one generator bus, one load bus."""

@@ -22,9 +22,10 @@ from gridfreq.engine import (ContingencyEvent, Scenario, SimParams,
                              build_profiles, load_scenario, run_ensemble,
                              run_scenario)
 from gridfreq.metrics import compute_metrics, export_results
-from gridfreq.profiles import (MinuteSeries, NoiseParams, SecondSeries,
-                               resample_wind)
+from gridfreq.profiles import resample_wind
 from gridfreq.protection import SHED_LEVELS, UflsRelayState, ufls_step
+
+from conftest import FLAT
 
 
 # ---------------------------------------------------------------------------
@@ -49,13 +50,12 @@ class TestDroopLaw:
         })
         params = SimParams.from_model(
             model, damping=0.0, ufls_enabled=False, reserve_fraction=5.0,
-            droop=0.05, deterministic_profiles=True)
+            droop=0.05, **FLAT)
         load = np.full(92, 900.0)               # 1 s samples, horizon + 2
         load[10:] = 990.0                       # +10% step at t = 10 s
         sc = Scenario(name="droop", case="A", duration_s=90.0)
-        tr = run_scenario(model, sc, params=params, profile_overrides={
-            3: {"load": SecondSeries(values=load, kind="load", bus=3,
-                                     baseline_mw=900.0)}})
+        profiles = build_profiles(model, sc, params, {3: {"load": load}})
+        tr = run_scenario(model, sc, params=params, profiles=profiles)
         f_end = tr.bus_freq[-1].mean()
         dp = 90.0
         sum_base_over_r = 2 * 1000.0 / 0.05
@@ -125,26 +125,24 @@ class TestResampler:
     def test_statistics_and_determinism(self):
         t0 = time.monotonic()
         # sigma = 0: exact minute interpolation (telescoping sum)
-        mins = MinuteSeries(values=np.array([0.3, 0.9, 0.6, 0.7]))
-        out = resample_wind(mins, NoiseParams(sigma=0.0, seed=0))
+        out = resample_wind([0.3, 0.9, 0.6, 0.7], 0.0, 0)
         grid = np.arange(181)
         want = np.interp(grid, [0, 60, 120, 180], [0.3, 0.9, 0.6, 0.7])
-        assert np.allclose(out.values, want, atol=1e-12)
+        assert np.allclose(out, want, atol=1e-12)
 
         # sigma > 0: Monte-Carlo mean-displacement test at 3 sigma
-        mins = MinuteSeries(values=np.array([0.3, 0.6]))
+        mins = np.array([0.3, 0.6])
         sigma, n_seeds = 0.004, 1000
         ends = np.empty(n_seeds)
         for seed in range(n_seeds):
-            ends[seed] = resample_wind(
-                mins, NoiseParams(sigma=sigma, seed=seed)).values[60]
+            ends[seed] = resample_wind(mins, sigma, seed)[60]
         se = sigma * np.sqrt(60.0 / n_seeds)
         assert abs(ends.mean() - 0.6) < 3.0 * se
 
         # bit-determinism per seed
-        a = resample_wind(mins, NoiseParams(sigma=sigma, seed=123))
-        b = resample_wind(mins, NoiseParams(sigma=sigma, seed=123))
-        assert a.values.tobytes() == b.values.tobytes()
+        a = resample_wind(mins, sigma, 123)
+        b = resample_wind(mins, sigma, 123)
+        assert a.tobytes() == b.tobytes()
         assert time.monotonic() - t0 < 10.0
 
 
@@ -164,11 +162,11 @@ class TestDispatchIdentity:
         for b in ieee39.buses:
             if not b.dispatched:
                 continue
-            w_sched = prof.wind_sched_mw.get(b.id, 0.0)
-            l_sched = prof.load_sched_mw.get(b.id, 0.0)
+            w_sched = (b.wind_mw or 0.0) * params.wind_schedule_pu
+            l_sched = (b.load_mw or 0.0) * params.load_scale
             for sec in range(30):
-                w_ts = prof.wind_mw[b.id].at(sec) if b.id in prof.wind_mw else 0.0
-                l_ts = prof.load_mw[b.id].at(sec) if b.id in prof.load_mw else 0.0
+                w_ts = prof.wind_mw[b.id][sec] if b.id in prof.wind_mw else 0.0
+                l_ts = prof.load_mw[b.id][sec] if b.id in prof.load_mw else 0.0
                 bat = ideal_battery_injection(w_sched, l_sched, w_ts, l_ts)
                 bat *= 1.0 + prof.battery_eps[b.id][sec]
                 net = w_ts - l_ts + bat
@@ -369,16 +367,14 @@ class TestNumericalHygiene:
                           dt_s=dt, seed=1,
                           events=(ContingencyEvent(300.0, "G4"),
                                   ContingencyEvent(300.0, "G5")))
-            params = SimParams.from_model(ieee39,
-                                          deterministic_profiles=True,
-                                          ufls_enabled=False)
+            params = SimParams.from_model(ieee39, ufls_enabled=False, **FLAT)
             tr = run_scenario(ieee39, sc, params=params)
             nadirs[dt] = tr.min_frequency()
         assert abs(nadirs[0.01] - nadirs[0.005]) < 1e-3
 
     def test_equilibrium_drift_and_residuals(self, ieee39):
         sc = Scenario(name="eq", case="A", duration_s=600.0, seed=1)
-        params = SimParams.from_model(ieee39, deterministic_profiles=True)
+        params = SimParams.from_model(ieee39, **FLAT)
         tr = run_scenario(ieee39, sc, params=params)
         assert np.max(np.abs(tr.gen_speed_dev)) < 1e-6
         assert tr.max_residual < 1e-9

@@ -7,14 +7,14 @@ import yaml
 
 from gridfreq.cli import EXIT_OK, EXIT_VALIDATION, main
 
-from conftest import four_bus_doc
+from conftest import FLAT, four_bus_doc
 
 
 @pytest.fixture
 def grid_file(tmp_path):
     p = tmp_path / "grid.yaml"
     doc = four_bus_doc()
-    doc["simulation"] = {"deterministic_profiles": True}
+    doc["simulation"] = dict(FLAT)
     p.write_text(yaml.safe_dump(doc))
     return p
 
@@ -76,6 +76,20 @@ class TestRun:
         assert main(["run", "--manifest", str(manifest)]) == EXIT_OK
         doc = json.loads((out / "tiny" / "metrics.json").read_text())
         assert doc["seed"] == 9
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"),
+                                             ("--scenario", "other.yaml")])
+    def test_manifest_rejects_flags_it_would_ignore(self, grid_file,
+                                                    scenario_file, tmp_path,
+                                                    capsys, flag, value):
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump({
+            "grid": str(grid_file), "scenarios": [scenario_file.name],
+            "output_dir": str(tmp_path / "mout")}))
+        rc = main(["run", "--manifest", str(manifest), flag, value])
+        assert rc == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "mout").exists()
 
     def test_run_without_scenarios_exits_2(self, capsys):
         assert main(["run"]) == EXIT_VALIDATION

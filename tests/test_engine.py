@@ -13,15 +13,13 @@ from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError,
                              SimParams, build_profiles, init_system,
                              load_scenario, run_scenario, step_system)
 from gridfreq.grid import GridConfigError
-from gridfreq.profiles import ProfileError, SecondSeries
+from gridfreq.profiles import ProfileError
 
-from conftest import four_bus_doc
+from conftest import FLAT, four_bus_doc
 
 
 def quick_params(model, **kw):
-    base = dict(deterministic_profiles=True)
-    base.update(kw)
-    return SimParams.from_model(model, **base)
+    return SimParams.from_model(model, **{**FLAT, **kw})
 
 
 class TestScenario:
@@ -33,6 +31,15 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="outside horizon"):
             Scenario(name="x", case="A", duration_s=10.0,
                      events=(ContingencyEvent(20.0, "G1"),))
+
+    def test_event_that_cannot_fire_rejected(self):
+        """Events fire before a step and the last step starts at
+        duration - dt, so an event at the horizon would never trip."""
+        with pytest.raises(ScenarioError, match="outside horizon"):
+            Scenario(name="x", case="A", duration_s=2.0,
+                     events=(ContingencyEvent(2.0, "G2"),))
+        Scenario(name="x", case="A", duration_s=2.0,
+                 events=(ContingencyEvent(1.99, "G2"),))
 
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ScenarioError):
@@ -108,30 +115,30 @@ class TestProfiles:
                                             duration_s=30), p)
         assert a.fingerprint() != c.fingerprint()
 
-    def test_deterministic_profiles_are_flat(self, four_bus):
+    def test_zero_noise_profiles_are_flat(self, four_bus):
         p = quick_params(four_bus)
         sc = Scenario(name="t", case="A", duration_s=20)
         prof = build_profiles(four_bus, sc, p)
-        assert np.ptp(prof.wind_mw[3].values) == 0.0
-        assert np.ptp(prof.load_mw[4].values) == 0.0
-        assert prof.wind_mw[3].values[0] == 200.0 * p.wind_schedule_pu
+        assert np.ptp(prof.wind_mw[3]) == 0.0
+        assert np.ptp(prof.load_mw[4]) == 0.0
+        assert prof.wind_mw[3][0] == 200.0 * p.wind_schedule_pu
+        assert prof.load_mw[4][0] == 300.0 * p.load_scale
 
     def test_overrides_bypass_synthesis(self, four_bus):
         p = quick_params(four_bus)
         sc = Scenario(name="t", case="A", duration_s=10)
-        series = SecondSeries(values=np.full(12, 123.0), kind="wind", bus=3)
         prof = build_profiles(four_bus, sc, p,
-                              overrides={3: {"wind": series}})
-        assert prof.wind_mw[3].values[0] == 123.0
+                              overrides={3: {"wind": np.full(12, 123.0)}})
+        assert prof.wind_mw[3][0] == 123.0
 
     @pytest.mark.parametrize("values", [np.full(11, 123.0),
-                                        np.r_[np.full(11, 123.0), np.nan]])
+                                        np.r_[np.full(11, 123.0), np.nan],
+                                        np.full((12, 1), 123.0)])
     def test_short_or_nonfinite_override_rejected(self, four_bus, values):
         p = quick_params(four_bus)
         sc = Scenario(name="t", case="A", duration_s=10)
-        series = SecondSeries(values=values, kind="wind", bus=3)
         with pytest.raises(ProfileError, match="12 finite"):
-            build_profiles(four_bus, sc, p, overrides={3: {"wind": series}})
+            build_profiles(four_bus, sc, p, overrides={3: {"wind": values}})
 
     def test_eps_streams_only_on_dispatched_buses(self, four_bus):
         p = SimParams.from_model(four_bus)
@@ -152,6 +159,18 @@ class TestInitAndStep:
             step_system(st, 0.01)
         assert np.max(np.abs(st.speed_dev)) < 1e-12
         assert st.max_residual < 1e-9
+
+    def test_generator_key_of_other_kind_rejected(self):
+        """A key the unit's kind does not use stops the run before its
+        first step, naming the generator and the key."""
+        sc = Scenario(name="x", case="A", duration_s=2)
+        for gen, key in ((0, "kpp"), (1, "t_reheat")):
+            doc = four_bus_doc()
+            doc["generators"][gen][key] = 2.0
+            model = gf.load_grid_config(doc)
+            name = doc["generators"][gen]["id"]
+            with pytest.raises(GridConfigError, match=f"{name}.*{key}"):
+                run_scenario(model, sc, params=quick_params(model))
 
     def test_wind_exceeding_load_rejected(self, four_bus):
         p = quick_params(four_bus, wind_schedule_pu=1.0, load_scale=0.01)

@@ -17,17 +17,17 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import gridfreq as gf
-from gridfreq.engine import ContingencyEvent, Scenario, SimParams, run_scenario
+from gridfreq.engine import (ContingencyEvent, Scenario, SimParams,
+                             build_profiles, run_scenario)
 from gridfreq.grid import GridConfigError
 from gridfreq.machines import (GATE_FLOOR, HydroGovState, HydroParams,
                                SteamGovState, SteamParams, _lag,
                                hydro_governor_step, hydro_init,
                                hydro_turbine_step, steam_governor_step,
                                steam_init, steam_turbine_step)
-from gridfreq.profiles import SecondSeries
 from gridfreq.protection import estimate_frequency
 
-from conftest import two_bus_doc
+from conftest import FLAT, two_bus_doc
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +289,11 @@ class TestSwing:
         w(t) = (dP/D)(1 - exp(-D t / 2H))."""
         model = gf.load_grid_config(two_bus_doc(rating=1000.0, load=500.0))
         params = SimParams.from_model(model, reserve_fraction=0.0,
-                                      ufls_enabled=False,
-                                      deterministic_profiles=True)
-        load = SecondSeries(values=np.full(32, 550.0), kind="load", bus=2,
-                            baseline_mw=500.0)
-        tr = run_scenario(model, Scenario(name="swing", case="A", duration_s=30.0),
-                          params=params, profile_overrides={2: {"load": load}})
+                                      ufls_enabled=False, **FLAT)
+        sc = Scenario(name="swing", case="A", duration_s=30.0)
+        profiles = build_profiles(model, sc, params,
+                                  {2: {"load": np.full(32, 550.0)}})
+        tr = run_scenario(model, sc, params=params, profiles=profiles)
         np.testing.assert_allclose(tr.gen_p_mech[:, 0], 0.5, rtol=1e-14)
         np.testing.assert_allclose(tr.gen_p_elec[1:, 0], 0.55, rtol=1e-12)
         h, d, dp = params.h_thermal, params.damping, 0.5 - 0.55

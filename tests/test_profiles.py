@@ -4,146 +4,135 @@ statistics, determinism, bounds and CSV I/O."""
 import numpy as np
 import pytest
 
-from gridfreq.profiles import (MinuteSeries, NoiseParams, ProfileError,
-                               SecondSeries, make_load_profile,
+from gridfreq.profiles import (ProfileError, make_load_profile,
                                read_minute_csv, resample_wind, scale_wind,
                                synthetic_minute_walk,
                                synthetic_second_multiplier, write_second_csv)
 
 
-class TestMinuteSeries:
+class TestResampleWind:
     def test_bounds_enforced(self):
-        with pytest.raises(ProfileError):
-            MinuteSeries(values=np.array([0.5, 1.2]))
-        with pytest.raises(ProfileError):
-            MinuteSeries(values=np.array([-0.1, 0.5]))
+        for bad in ([0.5, 1.2], [-0.1, 0.5], [0.5, np.nan]):
+            with pytest.raises(ProfileError, match="lie in"):
+                resample_wind(np.array(bad), 0.0, 0)
 
     def test_requires_one_dimension(self):
-        with pytest.raises(ProfileError):
-            MinuteSeries(values=np.zeros((2, 2)))
+        with pytest.raises(ProfileError, match="one-dimensional"):
+            resample_wind(np.zeros((2, 2)), 0.0, 0)
 
-
-class TestResampleWind:
     def test_zero_sigma_interpolates_exactly(self):
         """sigma = 0 telescopes to straight lines between minute anchors."""
-        mins = MinuteSeries(values=np.array([0.2, 0.8, 0.5]))
-        out = resample_wind(mins, NoiseParams(sigma=0.0, seed=0))
+        out = resample_wind(np.array([0.2, 0.8, 0.5]), 0.0, 0)
         assert len(out) == 121
         t = np.arange(121)
         want = np.interp(t, [0, 60, 120], [0.2, 0.8, 0.5])
-        assert np.allclose(out.values, want, atol=1e-12)
+        assert np.allclose(out, want, atol=1e-12)
 
     def test_minute_anchoring(self):
         """Each minute restarts from its anchor regardless of the noise
         accumulated in the previous minute."""
-        mins = MinuteSeries(values=np.array([0.3, 0.6, 0.4]))
-        out = resample_wind(mins, NoiseParams(sigma=0.01, seed=5))
+        out = resample_wind(np.array([0.3, 0.6, 0.4]), 0.01, 5)
         # first sample of minute 2 is anchor + one increment: within a
         # few sigma of the anchor-based prediction
         slope = (0.4 - 0.6) / 60.0
-        assert abs(out.values[61] - (0.6 + slope)) < 5 * 0.01
+        assert abs(out[61] - (0.6 + slope)) < 5 * 0.01
 
     def test_monte_carlo_mean_increment(self):
         """Mean per-minute displacement across seeds equals the minute
         slope (3-sigma test over >= 1000 seeds)."""
-        mins = MinuteSeries(values=np.array([0.2, 0.7]))
+        mins = np.array([0.2, 0.7])
         sigma = 0.005
         n = 1200
         ends = np.empty(n)
         for seed in range(n):
-            out = resample_wind(mins, NoiseParams(sigma=sigma, seed=seed))
-            ends[seed] = out.values[60]
+            ends[seed] = resample_wind(mins, sigma, seed)[60]
         # displacement over the minute ~ N(0.5, 60 sigma^2) before clipping
         se = sigma * np.sqrt(60.0 / n)
         assert abs(ends.mean() - 0.7) < 3.0 * se
 
     def test_bit_determinism_per_seed(self):
-        mins = MinuteSeries(values=np.array([0.2, 0.9, 0.1]))
-        a = resample_wind(mins, NoiseParams(sigma=0.01, seed=42))
-        b = resample_wind(mins, NoiseParams(sigma=0.01, seed=42))
-        assert a.values.tobytes() == b.values.tobytes()
-        c = resample_wind(mins, NoiseParams(sigma=0.01, seed=43))
-        assert a.values.tobytes() != c.values.tobytes()
+        mins = np.array([0.2, 0.9, 0.1])
+        a = resample_wind(mins, 0.01, 42)
+        b = resample_wind(mins, 0.01, 42)
+        assert a.tobytes() == b.tobytes()
+        c = resample_wind(mins, 0.01, 43)
+        assert a.tobytes() != c.tobytes()
 
     def test_output_clamped_to_unit_interval(self):
-        mins = MinuteSeries(values=np.array([0.01, 0.99]))
-        out = resample_wind(mins, NoiseParams(sigma=0.1, seed=1))
-        assert out.values.min() >= 0.0
-        assert out.values.max() <= 1.0
+        out = resample_wind(np.array([0.01, 0.99]), 0.1, 1)
+        assert out.min() >= 0.0
+        assert out.max() <= 1.0
 
     def test_needs_two_samples(self):
         with pytest.raises(ProfileError):
-            resample_wind(MinuteSeries(values=np.array([0.5])),
-                          NoiseParams(sigma=0.0, seed=0))
+            resample_wind(np.array([0.5]), 0.0, 0)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ProfileError):
-            NoiseParams(sigma=-0.001)
+        with pytest.raises(ProfileError, match="sigma"):
+            resample_wind(np.array([0.5, 0.6]), -0.001, 0)
 
 
 class TestScaling:
     def test_scale_wind(self):
-        pu = SecondSeries(values=np.array([0.5, 1.0]))
-        out = scale_wind(pu, 400.0, bus=8)
-        assert np.allclose(out.values, [200.0, 400.0])
-        assert out.bus == 8
-        assert out.baseline_mw == 400.0
+        out = scale_wind(np.array([0.5, 1.0]), 400.0)
+        assert np.allclose(out, [200.0, 400.0])
 
     def test_scale_wind_rejects_nonpositive_rating(self):
         with pytest.raises(ProfileError):
-            scale_wind(SecondSeries(values=np.array([0.5])), 0.0)
+            scale_wind(np.array([0.5]), 0.0)
 
     def test_make_load_profile(self):
-        mult = SecondSeries(values=np.array([0.98, 1.02]), kind="load")
-        out = make_load_profile(mult, 250.0, bus=4)
-        assert np.allclose(out.values, [245.0, 255.0])
+        out = make_load_profile(np.array([0.98, 1.02]), 250.0)
+        assert np.allclose(out, [245.0, 255.0])
 
     def test_make_load_profile_rejects_nonpositive_forecast(self):
         with pytest.raises(ProfileError):
-            make_load_profile(SecondSeries(values=np.array([1.0])), -5.0)
-
-    def test_at_holds_last_sample(self):
-        s = SecondSeries(values=np.array([1.0, 2.0, 3.0]))
-        assert s.at(1) == 2.0
-        assert s.at(99) == 3.0
+            make_load_profile(np.array([1.0]), -5.0)
 
 
 class TestSyntheticSources:
     def test_minute_walk_bounds_and_determinism(self):
         a = synthetic_minute_walk(500, start=0.8, sigma=0.5, seed=3)
         b = synthetic_minute_walk(500, start=0.8, sigma=0.5, seed=3)
-        assert np.array_equal(a.values, b.values)
-        assert a.values.min() >= 0.0
-        assert a.values.max() <= 1.0
-        assert a.values[0] == 0.8
+        assert np.array_equal(a, b)
+        assert a.min() >= 0.0
+        assert a.max() <= 1.0
+        assert a[0] == 0.8
         assert len(a) == 501
 
     def test_second_multiplier_bounds_and_mean(self):
         s = synthetic_second_multiplier(3600, mean=1.0, sigma_slow=0.002,
                                         sigma_fast=0.002, seed=9)
         assert len(s) == 3600
-        assert s.values.min() >= 0.8
-        assert s.values.max() <= 1.2
-        assert abs(s.values.mean() - 1.0) < 0.05
+        assert s.min() >= 0.8
+        assert s.max() <= 1.2
+        assert abs(s.mean() - 1.0) < 0.05
 
 
 class TestCsvIo:
     def test_roundtrip(self, tmp_path):
-        series = SecondSeries(values=np.array([0.25, 0.5, 0.75]))
         p = tmp_path / "out.csv"
-        write_second_csv(series, p)
+        write_second_csv(np.array([0.25, 0.5, 0.75]), p)
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "second,value_pu"
         assert lines[1] == "0,0.25"
+        write_second_csv(np.array([200.0]), p, unit="mw")
+        assert p.read_text().splitlines() == ["second,value_mw", "0,200"]
 
     def test_read_minute_csv_skips_header_and_comments(self, tmp_path):
         p = tmp_path / "mins.csv"
         p.write_text("timestamp,value\n# comment\n0,0.5\n60,0.75\n")
         got = read_minute_csv(p)
-        assert np.allclose(got.values, [0.5, 0.75])
+        assert np.allclose(got, [0.5, 0.75])
 
     def test_read_minute_csv_bad_value(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("0,0.5\n60,oops\n")
         with pytest.raises(ProfileError, match="bad value"):
+            read_minute_csv(p)
+
+    def test_read_minute_csv_checks_bounds(self, tmp_path):
+        p = tmp_path / "high.csv"
+        p.write_text("0,0.5\n60,1.5\n")
+        with pytest.raises(ProfileError, match="lie in"):
             read_minute_csv(p)
