@@ -52,8 +52,8 @@ def main() -> None:
     print(f"400 MW farm: first seconds {farm[:5].round(1)} MW")
 
     # 6. load multipliers: slow minute walk + fast second-to-second noise
-    mult = synthetic_second_multiplier(600, mean=1.0, sigma_slow=0.002,
-                                       sigma_fast=0.004, seed=3)
+    mult = synthetic_second_multiplier(600, sigma_slow=0.002, sigma_fast=0.004,
+                                       seed=3)
     print(f"load multiplier: mean {mult.mean():.4f}, "
           f"std {mult.std():.4f}, "
           f"range [{mult.min():.3f}, {mult.max():.3f}]")

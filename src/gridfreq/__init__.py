@@ -3,8 +3,8 @@ dispatched-by-design buses."""
 
 from .grid import (BusSpec, GeneratorSpec, GridConfigError, GridModel,
                    IslandingError, LineSpec, build_full_susceptance_matrix,
-                   build_susceptance_matrix, ieee39, line_flows_mw,
-                   load_grid_config, solve_dc_flow)
+                   build_susceptance_matrix, ieee39, load_grid_config,
+                   solve_dc_flow)
 from .machines import (HydroGovState, HydroParams, SteamGovState, SteamParams,
                        hydro_governor_step, hydro_init, hydro_turbine_step,
                        steam_governor_step, steam_init, steam_turbine_step)

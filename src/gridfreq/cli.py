@@ -18,7 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import engine, grid, metrics, profiles
@@ -48,7 +47,8 @@ def _run_one(args):
 
 def cmd_run(args) -> int:
     if args.manifest:
-        given = [flag for flag, v in (("--scenario", args.scenario),
+        given = [flag for flag, v in (("--grid", args.grid),
+                                      ("--scenario", args.scenario),
                                       ("--seed", args.seed)) if v is not None]
         if given:
             print(f"error: {' and '.join(given)} cannot be combined with "
@@ -64,7 +64,7 @@ def cmd_run(args) -> int:
         scenario_paths = [str((base / p)) if not os.path.isabs(p) else p
                           for p in scenario_paths]
     else:
-        grid_spec = args.grid
+        grid_spec = args.grid or "ieee39"
         scenario_paths = args.scenario or []
         outdir = Path(args.out)
         jobs = args.jobs
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run scenarios and export results")
     p.add_argument("--manifest", help="YAML manifest (grid, scenarios, output_dir, jobs, seed)")
-    p.add_argument("--grid", default="ieee39", help="grid config path or 'ieee39'")
+    p.add_argument("--grid", help="grid config path or 'ieee39' (the default)")
     p.add_argument("--scenario", action="append", help="scenario YAML (repeatable)")
     p.add_argument("--out", default=default_out, help="output directory")
     p.add_argument("--jobs", type=int, default=1, help="parallel scenario workers")

@@ -60,7 +60,7 @@ class Scenario:
         if self.duration_s <= 0 or self.dt_s <= 0:
             raise ScenarioError(f"scenario {self.name}: nonpositive duration or dt")
         steps = self.duration_s / self.dt_s
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if abs(steps - self.n_steps) > 1e-9 * steps:
             raise ScenarioError(f"scenario {self.name}: dt_s {self.dt_s} does not "
                                 f"divide duration_s {self.duration_s}")
         dec = self.output_dt_s / self.dt_s
@@ -68,11 +68,23 @@ class Scenario:
             raise ScenarioError(f"scenario {self.name}: output_dt_s {self.output_dt_s} "
                                 f"is not a whole multiple of dt_s {self.dt_s}")
         for ev in self.events:
-            # an event fires before a step, and the last step starts at
-            # duration_s - dt_s
-            if ev.time_s < 0.0 or round(ev.time_s / self.dt_s) >= round(steps):
+            # an event fires before its step, and the last step is n_steps - 1
+            if ev.time_s < 0.0 or self.event_step(ev) >= self.n_steps:
                 raise ScenarioError(
                     f"scenario {self.name}: event at {ev.time_s}s outside horizon")
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.duration_s / self.dt_s)
+
+    @property
+    def n_seconds(self) -> int:
+        """Samples per 1-s profile; steps read seconds 0 to ceil(duration_s) - 1."""
+        return math.ceil(self.duration_s) + 2
+
+    def event_step(self, ev: ContingencyEvent) -> int:
+        """The step before which ``ev`` fires."""
+        return round(ev.time_s / self.dt_s)
 
     def validate_against(self, model: GridModel) -> None:
         gen_ids = {g.id for g in model.generators}
@@ -134,12 +146,10 @@ class SimParams:
     @classmethod
     def from_model(cls, model: GridModel, **overrides) -> "SimParams":
         known = {f.name for f in fields(cls)}
-        merged = {k: v for k, v in model.sim_params.items() if k in known}
         unknown = set(model.sim_params) - known
         if unknown:
             raise GridConfigError(f"unknown simulation parameters: {sorted(unknown)}")
-        merged.update(overrides)
-        return cls(**merged)
+        return cls(**{**model.sim_params, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +183,18 @@ def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
     """Generate (or take over) all per-bus profiles for one run.
 
     ``overrides`` maps bus id to {'wind': array, 'load': array} of 1-s
-    values in MW, bypassing synthesis for that bus.  With the four noise
+    values in MW, bypassing synthesis for that bus; an override for a
+    profile the grid does not have is an error.  With the four noise
     sigmas at 0 every profile is flat at its schedule.
     """
     overrides = overrides or {}
-    n_seconds = int(math.ceil(scenario.duration_s)) + 2
+    for bus, ov in overrides.items():
+        spec = model.buses[model.bus_pos[bus]] if bus in model.bus_pos else None
+        have = {"wind": spec.wind_mw, "load": spec.load_mw} if spec else {}
+        for key in ov:
+            if have.get(key) is None:
+                raise ProfileError(f"bus {bus}: no {key!r} profile to override")
+    n_seconds = scenario.n_seconds
     n_minutes = n_seconds // 60 + 2
     wind_mw: dict[int, np.ndarray] = {}
     load_mw: dict[int, np.ndarray] = {}
@@ -203,8 +220,7 @@ def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
                 load_mw[b.id] = _checked_override(ov["load"], n_seconds, b.id)
             else:
                 mult = synthetic_second_multiplier(
-                    n_seconds, mean=1.0,
-                    sigma_slow=params.load_slow_sigma,
+                    n_seconds, sigma_slow=params.load_slow_sigma,
                     sigma_fast=params.load_fast_sigma,
                     seed=_bus_seed(scenario.seed, b.id, 3))
                 load_mw[b.id] = make_load_profile(mult, b.load_mw * params.load_scale)
@@ -235,30 +251,16 @@ def _resolve_error_cdf(params: SimParams) -> dispatch_mod.ErrorCdf:
 # system state: flat per-member arrays and per-kind governor banks
 # ---------------------------------------------------------------------------
 
-def _select(bank, keep: np.ndarray):
-    """Parameters or governor state of a bank restricted to the entries
-    ``keep``; a scalar field is shared by every entry."""
-    return replace(bank, **{f.name: np.broadcast_to(getattr(bank, f.name),
-                                                    keep.shape)[keep]
-                            for f in fields(bank)})
-
-
 @dataclass
 class _Bank:
-    """The online units of one machine kind in every member: their
+    """The units of one machine kind in every member, fixed for the run:
     positions in the flat machine arrays, parameters and governor state,
-    each field an array over those entries or a scalar they share."""
+    each field an array over those entries or a scalar they share.  A
+    tripped unit's governor keeps stepping; nothing reads its output."""
 
     idx: np.ndarray
     params: object                  # SteamParams | HydroParams
     gov: object                     # SteamGovState | HydroGovState
-
-    def drop(self, g: int, n_gen: int) -> None:
-        """Remove generator ``g`` (model position) from every member."""
-        keep = self.idx % n_gen != g
-        self.idx = self.idx[keep]
-        self.params = _select(self.params, keep)
-        self.gov = _select(self.gov, keep)
 
 
 @dataclass
@@ -429,7 +431,7 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                                          bank_params, reserve))
 
     # per-second non-machine injections; batteries act in case B only
-    n_seconds = int(math.ceil(scenarios[0].duration_s)) + 2
+    n_seconds = scenarios[0].n_seconds
     dispatched = [b.id for b in model.buses if b.dispatched]
     battery = np.zeros((n_seconds, n_members * len(dispatched)))
     for m, (sc, prof) in enumerate(zip(scenarios, profiles)):
@@ -528,6 +530,8 @@ def step_system(state: SystemState, dt: float) -> dict:
                                    dt)
     hydro.gov, p_m[hydro.idx] = mach.hydro_turbine_step(
         gov, hydro.params, dt, gate_prev=gate_prev)
+    # an assignment: scaling by ``online`` would write -0.0
+    p_m[~state.online] = 0.0
     p_m_eff = 0.5 * (state.p_mech[on] + p_m[on])
 
     # coupled RK4 over all rotor angles and speeds; the network algebraic
@@ -573,7 +577,7 @@ def step_system(state: SystemState, dt: float) -> dict:
 
 
 def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
-    """Trip a generator in every member: remove its injection and its governor."""
+    """Trip a generator in every member: take it off the network."""
     gens = state.model.generators
     ids = [g.id for g in gens]
     if event.generator not in ids:
@@ -586,7 +590,6 @@ def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
     n_gen = len(gens)
     state.online[g::n_gen] = False
     state.p_mech[g::n_gen] = state.p_elec[g::n_gen] = 0.0
-    state.banks[gens[g].kind].drop(g, n_gen)
     state.refactorize()
     logger.info("t=%.2fs: tripped %s (%.0f MVA)", state.clock,
                 event.generator, state.rating[g])
@@ -622,12 +625,6 @@ class Trajectory:
     battery_mw: np.ndarray          # (n_rec, n_dispatched)
     max_residual: float = 0.0
     profile_fingerprint: str = ""
-
-    def total_shed_fraction(self) -> np.ndarray:
-        """Sum of shed power over sum of expected load, per record."""
-        tot_exp = self.load_expected_mw.sum(axis=1)
-        shed_mw = (self.load_expected_mw - self.load_served_mw).sum(axis=1)
-        return np.where(tot_exp > 0, shed_mw / tot_exp, 0.0)
 
     def min_frequency(self) -> float:
         return float(self.bus_freq.min())
@@ -668,11 +665,8 @@ def run_scenario(model: GridModel, scenario: Scenario,
     load realizations; Case B additionally activates batteries at the
     dispatched buses (paired-comparison design).
     """
-    if params is None:
-        params = SimParams.from_model(model)
-    if profiles is None:
-        profiles = build_profiles(model, scenario, params)
-    return run_ensemble(model, [scenario], params, [profiles])[0]
+    return run_ensemble(model, [scenario], params,
+                        None if profiles is None else [profiles])[0]
 
 
 def run_ensemble(model: GridModel, scenarios: list[Scenario],
@@ -696,63 +690,50 @@ def run_ensemble(model: GridModel, scenarios: list[Scenario],
 
     state = init_system(model, scenarios, params, profiles)
     first = scenarios[0]
-    duration, dt = first.duration_s, first.dt_s
-    n_steps = round(duration / dt)
+    dt = first.dt_s
     dec = round(first.output_dt_s / dt)
-    n_rec = n_steps // dec + 1
-    n_members = len(scenarios)
+    n_rec = first.n_steps // dec + 1
+    due: dict[int, list[ContingencyEvent]] = {}
+    for ev in sorted(first.events, key=lambda e: e.time_s):
+        due.setdefault(first.event_step(ev), []).append(ev)
 
-    def records(width: int) -> np.ndarray:
-        return np.empty((n_members, n_rec, width))
+    def channels() -> dict[str, np.ndarray]:
+        """Each recorded ``Trajectory`` field as a flat state array."""
+        sec = int(min(state.clock, first.duration_s - dt))
+        shed = state.shed_levels()
+        return {"bus_freq": state.freq, "gen_p_mech": state.p_mech,
+                "gen_p_elec": state.p_elec, "gen_speed_dev": state.speed_dev,
+                "gen_online": state.online,
+                "load_expected_mw": state.load_mw[sec],
+                "load_served_mw": state.load_mw[sec] * (1.0 - shed),
+                "shed_level": shed, "wind_mw": state.wind_mw[sec],
+                "battery_mw": state.battery_mw[sec]}
 
     times = np.empty(n_rec)
-    bus_freq = records(len(model.buses))
-    gen_pm, gen_pe, gen_dw, gen_on = (records(len(model.generators))
-                                      for _ in range(4))
-    load_exp, load_srv, shed = (records(len(model.load_buses)) for _ in range(3))
-    wind = records(len(model.wind_buses))
-    bat = records(len(state.battery_bus_idx) // n_members)
-    events = sorted(first.events, key=lambda e: e.time_s)
-    next_ev = 0
+    recorded = {name: np.empty((state.n_members, n_rec, a.size // state.n_members))
+                for name, a in channels().items()}
 
     def record(k_rec: int) -> None:
-        sec = int(min(state.clock, duration - dt))
         times[k_rec] = round(state.clock, 9)
-        rows = state.per_member
-        bus_freq[:, k_rec] = rows(state.freq)
-        gen_pm[:, k_rec] = rows(state.p_mech)
-        gen_pe[:, k_rec] = rows(state.p_elec)
-        gen_dw[:, k_rec] = rows(state.speed_dev)
-        gen_on[:, k_rec] = rows(state.online)
-        shed[:, k_rec] = rows(state.shed_levels())
-        load_exp[:, k_rec] = rows(state.load_mw[sec])
-        load_srv[:, k_rec] = rows(state.load_mw[sec]) * (1.0 - shed[:, k_rec])
-        wind[:, k_rec] = rows(state.wind_mw[sec])
-        bat[:, k_rec] = rows(state.battery_mw[sec])
+        for name, a in channels().items():
+            recorded[name][:, k_rec] = state.per_member(a)
 
     record(0)
-    k_rec = 1
-    for k in range(n_steps):
-        while next_ev < len(events) and state.clock >= events[next_ev].time_s - 0.5 * dt:
-            apply_contingency(state, events[next_ev])
-            next_ev += 1
+    for k in range(first.n_steps):
+        for ev in due.get(k, ()):
+            apply_contingency(state, ev)
         step_system(state, dt)
         if (k + 1) % dec == 0:
-            record(k_rec)
-            k_rec += 1
+            record((k + 1) // dec)
 
     return [Trajectory(
         scenario_name=sc.name, case=sc.case, seed=sc.seed,
-        dt_out=dec * dt, bus_ids=list(model.bus_ids),
+        dt_out=dec * dt, bus_ids=[b.id for b in model.buses],
         gen_ids=[g.id for g in model.generators],
         load_bus_ids=[b.id for b in model.load_buses],
         wind_bus_ids=[b.id for b in model.wind_buses],
         dispatched_bus_ids=[b.id for b in model.buses if b.dispatched],
-        times=times.copy(), bus_freq=bus_freq[j],
-        gen_p_mech=gen_pm[j], gen_p_elec=gen_pe[j],
-        gen_speed_dev=gen_dw[j], gen_online=gen_on[j],
-        load_expected_mw=load_exp[j], load_served_mw=load_srv[j],
-        shed_level=shed[j], wind_mw=wind[j], battery_mw=bat[j],
+        times=times.copy(), **{name: a[j] for name, a in recorded.items()},
         max_residual=float(state.max_residual[j]),
         profile_fingerprint=profiles[j].fingerprint(),
     ) for j, sc in enumerate(scenarios)]

@@ -112,29 +112,13 @@ class GridModel:
     # -- index helpers (computed once per model) ---------------------------
 
     @cached_property
-    def bus_ids(self) -> tuple[int, ...]:
-        return tuple(b.id for b in self.buses)
-
-    @cached_property
     def bus_pos(self) -> dict[int, int]:
         """Bus id -> position in ``buses``."""
         return {b.id: i for i, b in enumerate(self.buses)}
 
-    def bus_index(self, bus_id: int) -> int:
-        try:
-            return self.bus_pos[bus_id]
-        except KeyError:
-            raise KeyError(f"no bus {bus_id}") from None
-
     @cached_property
     def generators(self) -> tuple[GeneratorSpec, ...]:
         return tuple(b.generator for b in self.buses if b.generator is not None)
-
-    def generator(self, gen_id: str) -> GeneratorSpec:
-        for g in self.generators:
-            if g.id == gen_id:
-                return g
-        raise KeyError(f"no generator {gen_id}")
 
     @cached_property
     def load_buses(self) -> tuple[BusSpec, ...]:
@@ -174,7 +158,7 @@ def build_full_susceptance_matrix(model: GridModel) -> sp.csr_matrix:
 def build_susceptance_matrix(model: GridModel) -> sp.csr_matrix:
     """Reduced susceptance matrix with the slack row/column removed."""
     full = build_full_susceptance_matrix(model)
-    k = model.bus_index(model.slack_bus)
+    k = model.bus_pos[model.slack_bus]
     keep = np.r_[0:k, k + 1:full.shape[0]]
     return full[np.ix_(keep, keep)].tocsr()
 
@@ -187,7 +171,7 @@ def solve_dc_flow(b_reduced: sp.spmatrix, injections_mw: np.ndarray,
     included; its entry is the balancing residual and is not part of the
     solve).
     """
-    k = model.bus_index(model.slack_bus)
+    k = model.bus_pos[model.slack_bus]
     p = np.asarray(injections_mw, dtype=float) / model.base_mva
     rhs = np.delete(p, k)
     try:
@@ -198,15 +182,6 @@ def solve_dc_flow(b_reduced: sp.spmatrix, injections_mw: np.ndarray,
         raise IslandingError("singular susceptance matrix (non-finite solution)")
     theta = np.insert(theta_red, k, 0.0)
     return theta
-
-
-def line_flows_mw(model: GridModel, theta: np.ndarray) -> np.ndarray:
-    """Per-line MW flow in the from->to direction."""
-    idx = model.bus_pos
-    flows = np.empty(len(model.lines))
-    for m, ln in enumerate(model.lines):
-        flows[m] = ln.susceptance * (theta[idx[ln.from_bus]] - theta[idx[ln.to_bus]])
-    return flows * model.base_mva
 
 
 # -- config loading --------------------------------------------------------

@@ -6,10 +6,12 @@ Two prime-mover chains are provided:
   lag, rate- and position-limited hydraulic servomotor, and a cascade of
   first-order turbine stages (steam chest, reheater, crossover) with
   per-stage power fractions, and
-* a hydro unit — PID governor with electrical-power droop feedback, a
-  velocity-mode servomotor (a first-order lag commands the gate velocity,
-  integrated to position), and the nonlinear penstock/turbine model
-  dq/dt = (1 - h)/T_w with h = (q/G)^2 and P_m = A_t h (q - q_nl).
+* a hydro unit — PID governor with permanent-droop feedback of gate
+  position (the engine's choice; a generator entry's ``droop_on_power``
+  feeds back electrical power instead), a velocity-mode servomotor (a
+  first-order lag commands the gate velocity, integrated to position),
+  and the nonlinear penstock/turbine model dq/dt = (1 - h)/T_w with
+  h = (q/G)^2 and P_m = A_t h (q - q_nl).
 
 All scalar first-order lags are advanced by exact exponential
 discretization, so they are unconditionally stable regardless of the

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+LOAD_MULT_LO, LOAD_MULT_HI = 0.8, 1.2   # bounds of the synthetic load multiplier
+
 
 class ProfileError(ValueError):
     pass
@@ -72,23 +74,22 @@ def make_load_profile(mult, forecast_mw: float) -> np.ndarray:
 # -- bundled synthetic sources ---------------------------------------------
 
 def synthetic_minute_walk(n_minutes: int, start: float, sigma: float,
-                          seed: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Bounded random walk at minute resolution (synthetic wind source)."""
+                          seed: int) -> np.ndarray:
+    """Random walk in [0, 1] at minute resolution (synthetic wind source)."""
     rng = np.random.default_rng(seed)
     steps = rng.normal(0.0, sigma, size=n_minutes)
     out = np.empty(n_minutes + 1)
     x = start
     out[0] = x
     for i, s in enumerate(steps):
-        x = min(max(x + s, lo), hi)
+        x = min(max(x + s, 0.0), 1.0)
         out[i + 1] = x
     return out
 
 
-def synthetic_second_multiplier(n_seconds: int, mean: float, sigma_slow: float,
-                                sigma_fast: float, seed: int,
-                                lo: float = 0.8, hi: float = 1.2) -> np.ndarray:
-    """Per-unit multiplier around ``mean``: minute-scale walk plus fast noise.
+def synthetic_second_multiplier(n_seconds: int, sigma_slow: float,
+                                sigma_fast: float, seed: int) -> np.ndarray:
+    """Per-unit multiplier around 1: minute-scale walk plus fast noise.
 
     Used as the synthetic stand-in for measured 1-second demand data.
     """
@@ -100,7 +101,7 @@ def synthetic_second_multiplier(n_seconds: int, mean: float, sigma_slow: float,
     t_sec = np.arange(n_seconds, dtype=float)
     slow = np.interp(t_sec, t_min, walk)
     fast = rng.normal(0.0, sigma_fast, size=n_seconds)
-    return np.clip(mean + slow + fast, lo, hi)
+    return np.clip(1.0 + slow + fast, LOAD_MULT_LO, LOAD_MULT_HI)
 
 
 # -- CSV I/O ---------------------------------------------------------------

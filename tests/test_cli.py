@@ -78,7 +78,8 @@ class TestRun:
         assert doc["seed"] == 9
 
     @pytest.mark.parametrize("flag, value", [("--seed", "5"),
-                                             ("--scenario", "other.yaml")])
+                                             ("--scenario", "other.yaml"),
+                                             ("--grid", "grid.yaml")])
     def test_manifest_rejects_flags_it_would_ignore(self, grid_file,
                                                     scenario_file, tmp_path,
                                                     capsys, flag, value):

@@ -140,6 +140,18 @@ class TestProfiles:
         with pytest.raises(ProfileError, match="12 finite"):
             build_profiles(four_bus, sc, p, overrides={3: {"wind": values}})
 
+    @pytest.mark.parametrize("overrides, bus, key", [
+        ({99: {"load": np.full(12, 1.0)}}, 99, "load"),     # no such bus
+        ({1: {"load": np.full(12, 1.0)}}, 1, "load"),       # bus 1 has no load
+        ({4: {"lod": np.full(12, 1.0)}}, 4, "lod"),         # misspelled key
+    ])
+    def test_override_without_a_profile_rejected(self, four_bus, overrides,
+                                                 bus, key):
+        p = quick_params(four_bus)
+        sc = Scenario(name="t", case="A", duration_s=10)
+        with pytest.raises(ProfileError, match=f"bus {bus}: no '{key}'"):
+            build_profiles(four_bus, sc, p, overrides=overrides)
+
     def test_eps_streams_only_on_dispatched_buses(self, four_bus):
         p = SimParams.from_model(four_bus)
         prof = build_profiles(four_bus, Scenario(name="t", case="A",
@@ -208,12 +220,15 @@ class TestInitAndStep:
         assert "already offline" in caplog.text
 
     def test_trip_before_first_step(self, four_bus):
-        """G2 is the only hydro unit, so its bank empties before any
-        governor step has run."""
+        """G2 is the only hydro unit and trips before any governor step
+        has run; its governor keeps stepping, and its mechanical power
+        must read zero from the first step on."""
         sc = Scenario(name="t0", case="B", duration_s=2,
                       events=(ContingencyEvent(0.0, "G2"),))
         tr = run_scenario(four_bus, sc, params=quick_params(four_bus))
-        assert np.all(tr.gen_online[1:, tr.gen_ids.index("G2")] == 0.0)
+        g2 = tr.gen_ids.index("G2")
+        assert np.all(tr.gen_online[1:, g2] == 0.0)
+        assert np.all(tr.gen_p_mech[1:, g2] == 0.0)
         assert np.all(np.isfinite(tr.bus_freq))
 
     def test_unknown_generator_trip_raises(self, four_bus):
@@ -265,12 +280,6 @@ class TestTrajectory:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("time,f_bus1")
         assert len(lines) == 22
-
-    def test_total_shed_fraction_helper(self, four_bus):
-        p = quick_params(four_bus)
-        sc = Scenario(name="t", case="A", duration_s=2)
-        tr = run_scenario(four_bus, sc, params=p)
-        assert np.allclose(tr.total_shed_fraction(), 0.0)
 
 
 class TestEnsemble:

@@ -9,8 +9,8 @@ import pytest
 
 import gridfreq as gf
 from gridfreq.grid import (GridConfigError, build_full_susceptance_matrix,
-                           build_susceptance_matrix, line_flows_mw,
-                           load_grid_config, solve_dc_flow)
+                           build_susceptance_matrix, load_grid_config,
+                           solve_dc_flow)
 
 from conftest import four_bus_doc, two_bus_doc
 
@@ -108,16 +108,6 @@ class TestConfigValidation:
         model = load_grid_config(p)
         assert [b.id for b in model.buses] == [1, 2, 3, 4]
 
-    def test_generator_lookup(self, four_bus):
-        assert four_bus.generator("G2").rating_mva == 800.0
-        with pytest.raises(KeyError):
-            four_bus.generator("G9")
-
-    def test_bus_index_lookup(self, four_bus):
-        assert four_bus.bus_index(3) == 2
-        with pytest.raises(KeyError):
-            four_bus.bus_index(77)
-
 
 # ---------------------------------------------------------------------------
 # susceptance matrix
@@ -137,7 +127,7 @@ class TestSusceptanceMatrix:
     def test_reduced_matrix_drops_slack(self, four_bus):
         full = build_full_susceptance_matrix(four_bus).toarray()
         red = build_susceptance_matrix(four_bus).toarray()
-        k = four_bus.bus_index(four_bus.slack_bus)
+        k = four_bus.bus_pos[four_bus.slack_bus]
         keep = [i for i in range(4) if i != k]
         assert np.allclose(red, full[np.ix_(keep, keep)])
 
@@ -149,7 +139,7 @@ class TestSusceptanceMatrix:
 def _dense_oracle_theta(model, injections_mw):
     """Independent dense solve of the reduced DC system."""
     full = build_full_susceptance_matrix(model).toarray()
-    k = model.bus_index(model.slack_bus)
+    k = model.bus_pos[model.slack_bus]
     keep = [i for i in range(len(model.buses)) if i != k]
     b_red = full[np.ix_(keep, keep)]
     p = np.asarray(injections_mw) / model.base_mva
@@ -164,7 +154,7 @@ class TestDcFlow:
         rng = np.random.default_rng(7)
         for _ in range(20):
             inj = rng.normal(0.0, 200.0, size=4)
-            inj[four_bus.bus_index(four_bus.slack_bus)] = -inj.sum()
+            inj[four_bus.bus_pos[four_bus.slack_bus]] = -inj.sum()
             b_red = build_susceptance_matrix(four_bus)
             theta = solve_dc_flow(b_red, inj, four_bus)
             assert np.allclose(theta, _dense_oracle_theta(four_bus, inj),
@@ -174,7 +164,7 @@ class TestDcFlow:
         rng = np.random.default_rng(11)
         n = len(ieee39.buses)
         inj = rng.normal(0.0, 100.0, size=n)
-        inj[ieee39.bus_index(ieee39.slack_bus)] = -inj.sum()
+        inj[ieee39.bus_pos[ieee39.slack_bus]] = -inj.sum()
         b_red = build_susceptance_matrix(ieee39)
         theta = solve_dc_flow(b_red, inj, ieee39)
         assert np.allclose(theta, _dense_oracle_theta(ieee39, inj), atol=1e-10)
@@ -184,21 +174,22 @@ class TestDcFlow:
         rng = np.random.default_rng(3)
         n = len(ieee39.buses)
         inj = rng.normal(0.0, 100.0, size=n)
-        k = ieee39.bus_index(ieee39.slack_bus)
+        k = ieee39.bus_pos[ieee39.slack_bus]
         inj[k] = -np.delete(inj, k).sum()
         theta = solve_dc_flow(build_susceptance_matrix(ieee39), inj, ieee39)
-        flows = line_flows_mw(ieee39, theta)
         idx = {b.id: i for i, b in enumerate(ieee39.buses)}
         net = np.zeros(n)
-        for f, ln in zip(flows, ieee39.lines):
-            net[idx[ln.from_bus]] += f
-            net[idx[ln.to_bus]] -= f
+        for ln in ieee39.lines:
+            i, j = idx[ln.from_bus], idx[ln.to_bus]
+            f = ln.susceptance * (theta[i] - theta[j]) * ieee39.base_mva
+            net[i] += f
+            net[j] -= f
         assert np.allclose(net, inj, atol=1e-8)
 
     def test_slack_angle_is_zero(self, four_bus):
         inj = np.array([100.0, 50.0, -90.0, -60.0])
         theta = solve_dc_flow(build_susceptance_matrix(four_bus), inj, four_bus)
-        assert theta[four_bus.bus_index(four_bus.slack_bus)] == 0.0
+        assert theta[four_bus.bus_pos[four_bus.slack_bus]] == 0.0
 
     def test_zero_injection_gives_flat_angles(self, four_bus):
         theta = solve_dc_flow(build_susceptance_matrix(four_bus),
@@ -211,8 +202,9 @@ class TestDcFlow:
         theta = solve_dc_flow(build_susceptance_matrix(two_bus), inj, two_bus)
         # theta at bus 2: -P/b in p.u. -> -1.2/50 rad
         assert theta[1] == pytest.approx(-1.2 / 50.0, rel=1e-12)
-        flows = line_flows_mw(two_bus, theta)
-        assert flows[0] == pytest.approx(120.0, rel=1e-12)
+        ln = two_bus.lines[0]
+        flow = ln.susceptance * (theta[0] - theta[1]) * two_bus.base_mva
+        assert flow == pytest.approx(120.0, rel=1e-12)
 
 
 class TestIeee39Data:

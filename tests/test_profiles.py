@@ -101,7 +101,7 @@ class TestSyntheticSources:
         assert len(a) == 501
 
     def test_second_multiplier_bounds_and_mean(self):
-        s = synthetic_second_multiplier(3600, mean=1.0, sigma_slow=0.002,
+        s = synthetic_second_multiplier(3600, sigma_slow=0.002,
                                         sigma_fast=0.002, seed=9)
         assert len(s) == 3600
         assert s.min() >= 0.8
