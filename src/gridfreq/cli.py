@@ -73,6 +73,9 @@ def cmd_run(args) -> int:
     if not scenario_paths:
         print("error: no scenarios given", file=sys.stderr)
         return EXIT_VALIDATION
+    if jobs < 1:
+        print(f"error: jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         model = _load_model(grid_spec)
         scenarios = []
@@ -85,13 +88,22 @@ def cmd_run(args) -> int:
     except (grid.GridConfigError, engine.ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # each scenario writes into the directory of its name
+    names = [sc.name for sc in scenarios]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        print(f"error: scenario names must be unique: {', '.join(repeated)}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
     outdir.mkdir(parents=True, exist_ok=True)
     work = [(model, sc, outdir / sc.name) for sc in scenarios]
+    # a pool starts all its workers at once: no more than there is work for
+    workers = min(jobs, len(work))
     results = {}
     try:
-        if jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
                 for name, m in ex.map(_run_one, work):
                     results[name] = m
         else:
@@ -186,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid config path or 'ieee39' (the default)")
     p.add_argument("--scenario", action="append", help="scenario YAML (repeatable)")
     p.add_argument("--out", default=default_out, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scenario workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel scenario workers, at most one per scenario")
     p.add_argument("--seed", type=int, help="override the scenario seeds")
     p.set_defaults(func=cmd_run)
 

@@ -50,6 +50,8 @@ class ErrorCdf:
         object.__setattr__(self, "prob", p)
         if e.shape != p.shape or e.ndim != 1 or e.size == 0:
             raise CdfError("eps and prob must be equal-length 1-d arrays")
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(p))):
+            raise CdfError("eps and prob must be finite")
         if e.size > 1 and not np.all(np.diff(e) > 0):
             raise CdfError("eps breakpoints must be strictly increasing")
         if np.any(np.diff(p) < 0):

@@ -64,7 +64,7 @@ class Scenario:
             raise ScenarioError(f"scenario {self.name}: dt_s {self.dt_s} does not "
                                 f"divide duration_s {self.duration_s}")
         dec = self.output_dt_s / self.dt_s
-        if round(dec) < 1 or abs(dec - round(dec)) > 1e-9 * dec:
+        if self.steps_per_record < 1 or abs(dec - self.steps_per_record) > 1e-9 * dec:
             raise ScenarioError(f"scenario {self.name}: output_dt_s {self.output_dt_s} "
                                 f"is not a whole multiple of dt_s {self.dt_s}")
         for ev in self.events:
@@ -76,6 +76,11 @@ class Scenario:
     @property
     def n_steps(self) -> int:
         return round(self.duration_s / self.dt_s)
+
+    @property
+    def steps_per_record(self) -> int:
+        """Integration steps per recorded output step."""
+        return round(self.output_dt_s / self.dt_s)
 
     @property
     def n_seconds(self) -> int:
@@ -107,13 +112,12 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     events = tuple(ContingencyEvent(time_s=float(e["time_s"]),
                                     generator=str(e["generator"]))
                    for e in doc.get("events", []))
-    return Scenario(
-        name=str(doc["name"]), case=str(doc["case"]), events=events,
-        duration_s=float(doc.get("duration_s", 600.0)),
-        dt_s=float(doc.get("dt_s", 0.01)),
-        seed=int(doc.get("seed", 1)),
-        output_dt_s=float(doc.get("output_dt_s", 0.1)),
-    )
+    # keys the document leaves out take the Scenario defaults
+    optional = {key: conv(doc[key]) for key, conv in (
+        ("duration_s", float), ("dt_s", float), ("seed", int), ("output_dt_s", float))
+        if key in doc}
+    return Scenario(name=str(doc["name"]), case=str(doc["case"]), events=events,
+                    **optional)
 
 
 @dataclass(frozen=True)
@@ -254,13 +258,39 @@ def _resolve_error_cdf(params: SimParams) -> dispatch_mod.ErrorCdf:
 @dataclass
 class _Bank:
     """The units of one machine kind in every member, fixed for the run:
-    positions in the flat machine arrays, parameters and governor state,
-    each field an array over those entries or a scalar they share.  A
-    tripped unit's governor keeps stepping; nothing reads its output."""
+    positions in the flat machine arrays, parameters, step constants and
+    governor state, each field an array over those entries or a scalar
+    they share.  A tripped unit's governor keeps stepping; nothing reads
+    its output."""
 
     idx: np.ndarray
     params: object                  # SteamParams | HydroParams
+    k: object                       # SteamConstants | HydroConstants
     gov: object                     # SteamGovState | HydroGovState
+
+
+@dataclass
+class _Online:
+    """Per-machine values of the online machines, fixed until a trip."""
+
+    idx: np.ndarray                 # flat machine positions
+    off: np.ndarray                 # bool mask of the tripped machines
+    bus: np.ndarray                 # their flat bus positions
+    b_coupling: np.ndarray
+    rating: np.ndarray
+    two_h: np.ndarray
+    d: np.ndarray
+
+
+@dataclass
+class _Injections:
+    """Net non-machine bus injections of one profile second at the
+    current shed levels, fixed until the second changes or a relay commits."""
+
+    sec: int
+    mw: np.ndarray                  # flat per bus
+    pu: np.ndarray                  # mw / base_mva
+    member_mw: np.ndarray           # sum over each member's buses
 
 
 @dataclass
@@ -276,13 +306,13 @@ class SystemState:
     model: GridModel
     params: SimParams
     n_members: int
+    dt: float                       # integration step, s
     gen_bus: np.ndarray             # flat bus position of each machine
     rating: np.ndarray              # MVA
-    h: np.ndarray                   # inertia, s on machine base
+    two_h: np.ndarray               # twice the inertia, s on machine base
     d: np.ndarray                   # damping, machine p.u.
     b_coupling: np.ndarray          # p.u. on system base
-    delta: np.ndarray               # rotor angle, rad
-    speed_dev: np.ndarray           # speed deviation, p.u.
+    rotor: np.ndarray               # rows: rotor angle (rad), speed deviation (p.u.)
     p_mech: np.ndarray              # mechanical power, machine p.u. (0 once tripped)
     p_elec: np.ndarray              # last electrical power, machine p.u.
     online: np.ndarray              # bool; a trip takes a generator off in every member
@@ -300,8 +330,15 @@ class SystemState:
     _b_full: sp.csr_matrix
     theta: np.ndarray | None = None     # bus angles of the last solve, rad
     clock: float = 0.0
-    # cached factorization of the augmented susceptance matrix
+    # set by refactorize at every topology change
     _b_aug_lu: object = None
+    _on: _Online | None = None
+    # injections the next step reuses; None has it rebuild them
+    _inj: _Injections | None = None
+
+    @property
+    def speed_dev(self) -> np.ndarray:
+        return self.rotor[1]
 
     def refactorize(self) -> None:
         n_gen = len(self.model.generators)
@@ -314,6 +351,20 @@ class SystemState:
         except RuntimeError as exc:
             raise IslandingError(f"network solve singular: {exc}") from exc
         self._b_aug = b_aug
+        idx = self.online.nonzero()[0]
+        self._on = _Online(idx=idx, off=~self.online, bus=self.gen_bus[idx],
+                           b_coupling=self.b_coupling[idx], rating=self.rating[idx],
+                           two_h=self.two_h[idx], d=self.d[idx])
+
+    def injections(self, sec: int) -> _Injections:
+        """Net non-machine bus injections of profile second ``sec`` at the
+        committed shed levels, accumulated load, wind, battery."""
+        inj = np.zeros(len(self.freq))
+        inj[self.load_bus_idx] -= self.load_mw[sec] * (1.0 - self.shed_levels())
+        inj[self.wind_bus_idx] += self.wind_mw[sec]
+        inj[self.battery_bus_idx] += self.battery_mw[sec]
+        return _Injections(sec, inj, inj / self.model.base_mva,
+                           self.per_member(inj).sum(axis=1))
 
     def per_member(self, flat: np.ndarray) -> np.ndarray:
         """A flat per-bus or per-machine array as one row per member."""
@@ -421,12 +472,15 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                          for i in positions], dtype=int)
 
     reserve = params.reserve_fraction * loading
+    dt = scenarios[0].dt_s
     banks = {}
-    for kind, cls, gov_init in (("thermal", mach.SteamParams, mach.steam_init),
-                                ("hydro", mach.HydroParams, mach.hydro_init)):
+    for kind, cls, constants, gov_init in (
+            ("thermal", mach.SteamParams, mach.steam_constants, mach.steam_init),
+            ("hydro", mach.HydroParams, mach.hydro_constants, mach.hydro_init)):
         units = [j for j, g in enumerate(gens) if g.kind == kind]
         bank_params = _stack(cls, [mp[j] for _ in range(n_members) for j in units])
         banks[kind] = _Bank(idx=flat(units, len(gens)), params=bank_params,
+                            k=constants(bank_params, dt),
                             gov=gov_init(np.full(n_members * len(units), loading),
                                          bank_params, reserve))
 
@@ -444,11 +498,11 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                 b_star, prof.battery_eps[bus][:n_seconds])
     n_gen = len(gens)
     state = SystemState(
-        model=model, params=params, n_members=n_members,
+        model=model, params=params, n_members=n_members, dt=dt,
         gen_bus=flat(gen_bus, n), rating=np.tile(rating, n_members),
-        h=np.tile(h, n_members), d=np.tile(d, n_members),
+        two_h=np.tile(2.0 * h, n_members), d=np.tile(d, n_members),
         b_coupling=np.tile(b_coupling, n_members),
-        delta=np.tile(delta, n_members), speed_dev=np.zeros(n_members * n_gen),
+        rotor=np.stack((np.tile(delta, n_members), np.zeros(n_members * n_gen))),
         p_mech=np.full(n_members * n_gen, loading),
         p_elec=np.full(n_members * n_gen, loading),
         online=np.ones(n_members * n_gen, dtype=bool), banks=banks,
@@ -474,31 +528,31 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
 # stepping
 # ---------------------------------------------------------------------------
 
-def step_system(state: SystemState, dt: float) -> dict:
-    """Advance every member one step; returns per-step records, each the
-    largest over the members.
+def step_system(state: SystemState) -> dict:
+    """Advance every member one step of ``state.dt``; returns per-step
+    records, each the largest over the members.
 
     Order: profile values -> shed application -> network solve ->
     electrical powers -> machine dynamics -> frequency estimation -> relays.
     """
     model = state.model
     base = model.base_mva
+    dt = state.dt
     sec = int(state.clock)
-    # net non-machine bus injections, accumulated load, wind, battery
-    inj = np.zeros(len(state.freq))
-    inj[state.load_bus_idx] -= state.load_mw[sec] * (1.0 - state.shed_levels())
-    inj[state.wind_bus_idx] += state.wind_mw[sec]
-    inj[state.battery_bus_idx] += state.battery_mw[sec]
-    p_inj = inj / base
+    if state._inj is None or state._inj.sec != sec:
+        state._inj = state.injections(sec)
+    inj = state._inj
+    p_inj = inj.pu
 
     def solve(rhs):
         # one right-hand side per member
         return state._b_aug_lu.solve(state.per_member(rhs).T).T.ravel()
 
-    on = state.online.nonzero()[0]
-    bus_on, b_on, rating = state.gen_bus[on], state.b_coupling[on], state.rating[on]
+    on = state._on
+    bus_on, b_on, rating = on.bus, on.b_coupling, on.rating
+    x0 = state.rotor[:, on.idx]             # online angles and speeds
     rhs = p_inj.copy()
-    rhs[bus_on] += b_on * state.delta[on]
+    rhs[bus_on] += b_on * x0[0]
     theta = solve(rhs)
     if not np.isfinite(theta).all():
         raise IslandingError(f"network solve produced non-finite angles at "
@@ -507,55 +561,53 @@ def step_system(state: SystemState, dt: float) -> dict:
                       - state.per_member(rhs).T).max(axis=0)
     np.maximum(state.max_residual, residual, out=state.max_residual)
 
-    pe_sys0 = b_on * (state.delta[on] - theta[bus_on])
-    state.p_elec[on] = pe_sys0 * base / rating
+    pe_sys0 = b_on * (x0[0] - theta[bus_on])
+    state.p_elec[on.idx] = pe_sys0 * base / rating
 
     # governors see a midpoint estimate of the speed deviation (one
     # explicit half-step of the swing equation), turbine stages couple
     # through step-averaged inputs, and the swing integration below uses
     # the average of the old and new mechanical power: every cross-block
     # coupling is second-order accurate in dt
-    dw = state.speed_dev + 0.5 * dt * ((state.p_mech - state.p_elec
-                                        - state.d * state.speed_dev)
-                                       / (2.0 * state.h))
+    w = state.rotor[1]
+    dw = w + 0.5 * dt * ((state.p_mech - state.p_elec - state.d * w) / state.two_h)
     p_m = np.zeros(len(state.online))
     steam, hydro = state.banks["thermal"], state.banks["hydro"]
     valve_prev = steam.gov.valve
-    gov = mach.steam_governor_step(steam.gov, steam.params, dw[steam.idx], dt)
-    steam.gov, p_m[steam.idx] = mach.steam_turbine_step(
-        gov, steam.params, dt, valve_prev=valve_prev)
+    mach.steam_governor_step(steam.gov, steam.params, dw[steam.idx], steam.k)
+    p_m[steam.idx] = mach.steam_turbine_step(steam.gov, steam.params, steam.k,
+                                             valve_prev=valve_prev)
     gate_prev = hydro.gov.gate
-    gov = mach.hydro_governor_step(hydro.gov, hydro.params, dw[hydro.idx],
-                                   state.p_elec[hydro.idx] - hydro.gov.power_ref,
-                                   dt)
-    hydro.gov, p_m[hydro.idx] = mach.hydro_turbine_step(
-        gov, hydro.params, dt, gate_prev=gate_prev)
+    mach.hydro_governor_step(hydro.gov, hydro.params, dw[hydro.idx],
+                             state.p_elec[hydro.idx] - hydro.gov.power_ref, hydro.k)
+    p_m[hydro.idx] = mach.hydro_turbine_step(hydro.gov, hydro.params, hydro.k,
+                                             gate_prev=gate_prev)
     # an assignment: scaling by ``online`` would write -0.0
-    p_m[~state.online] = 0.0
-    p_m_eff = 0.5 * (state.p_mech[on] + p_m[on])
+    p_m[on.off] = 0.0
+    p_m_eff = 0.5 * (state.p_mech[on.idx] + p_m[on.idx])
 
-    # coupled RK4 over all rotor angles and speeds; the network algebraic
-    # constraint is re-solved at every stage so the synchronizing power is
-    # exact, not linearized about the step's starting point
+    # coupled RK4 over all rotor angles and speeds, stacked as rows of
+    # one array; the network algebraic constraint is re-solved at every
+    # stage so the synchronizing power is exact, not linearized about the
+    # step's starting point
     ws = 2.0 * math.pi * model.f0
-    two_h = 2.0 * state.h[on]
-    d_on = state.d[on]
 
-    def derivs(delta_vec, w_vec, theta_stage=None):
+    def derivs(x, theta_stage=None):
         if theta_stage is None:
             stage_rhs = p_inj.copy()
-            stage_rhs[bus_on] += b_on * delta_vec
+            stage_rhs[bus_on] += b_on * x[0]
             theta_stage = solve(stage_rhs)
-        pe = (b_on * (delta_vec - theta_stage[bus_on])) * base / rating
-        return ws * w_vec, (p_m_eff - pe - d_on * w_vec) / two_h
+        pe = (b_on * (x[0] - theta_stage[bus_on])) * base / rating
+        k = np.empty_like(x)
+        np.multiply(ws, x[1], out=k[0])
+        k[1] = (p_m_eff - pe - on.d * x[1]) / on.two_h
+        return k
 
-    delta0, w0 = state.delta[on], state.speed_dev[on]
-    k1d, k1w = derivs(delta0, w0, theta_stage=theta)
-    k2d, k2w = derivs(delta0 + 0.5 * dt * k1d, w0 + 0.5 * dt * k1w)
-    k3d, k3w = derivs(delta0 + 0.5 * dt * k2d, w0 + 0.5 * dt * k2w)
-    k4d, k4w = derivs(delta0 + dt * k3d, w0 + dt * k3w)
-    state.delta[on] = delta0 + dt * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
-    state.speed_dev[on] = w0 + dt * (k1w + 2 * k2w + 2 * k3w + k4w) / 6.0
+    k1 = derivs(x0, theta_stage=theta)
+    k2 = derivs(x0 + 0.5 * dt * k1)
+    k3 = derivs(x0 + 0.5 * dt * k2)
+    k4 = derivs(x0 + dt * k3)
+    state.rotor[:, on.idx] = x0 + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
     state.p_mech = p_m
 
     state.est_filt, state.freq = estimate_frequency(
@@ -565,13 +617,17 @@ def step_system(state: SystemState, dt: float) -> dict:
 
     if state.params.ufls_enabled:
         f_load = state.freq[state.load_bus_idx].tolist()
-        state.relays = [ufls_step(r, f, dt) for r, f in zip(state.relays, f_load)]
+        relays = [ufls_step(r, f, dt) for r, f in zip(state.relays, f_load)]
+        # an idle relay returns itself, so the lists are mostly identical
+        if relays != state.relays and any(
+                new.level != old.level for new, old in zip(relays, state.relays)):
+            state._inj = None
+        state.relays = relays
 
     state.clock += dt
     # lossless DC bookkeeping: machine generation balances the net
     # non-machine injections exactly (Laplacian row sums are zero)
-    balance_mw = (state.per_member(inj).sum(axis=1)
-                  + state.per_member(pe_sys0).sum(axis=1) * base)
+    balance_mw = inj.member_mw + state.per_member(pe_sys0).sum(axis=1) * base
     return {"residual": float(residual.max()),
             "balance_mw": float(np.abs(balance_mw).max())}
 
@@ -598,6 +654,9 @@ def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
 # ---------------------------------------------------------------------------
 # trajectory and scenario runner
 # ---------------------------------------------------------------------------
+
+_CSV_BLOCK_ROWS = 1000
+
 
 @dataclass
 class Trajectory:
@@ -638,22 +697,27 @@ class Trajectory:
             cols += [f"load{b}_expected", f"load{b}_served", f"load{b}_shed"]
         cols += [f"wind{b}" for b in self.wind_bus_ids]
         cols += [f"bat{b}" for b in self.dispatched_bus_ids]
-        # filled in place: stacking the per-generator and per-load triples
-        # would copy them first and raise the peak memory of an export
-        data = np.empty((len(self.times), len(cols)))
-        c = 1 + len(self.bus_ids)
-        data[:, 0], data[:, 1:c] = self.times, self.bus_freq
-        for triple in ((self.gen_p_mech, self.gen_p_elec, self.gen_speed_dev),
-                       (self.load_expected_mw, self.load_served_mw, self.shed_level)):
-            width = 3 * triple[0].shape[1]
-            for k, a in enumerate(triple):
-                data[:, c + k:c + width:3] = a
-            c += width
+        triples = ((self.gen_p_mech, self.gen_p_elec, self.gen_speed_dev),
+                   (self.load_expected_mw, self.load_served_mw, self.shed_level))
         n_wind = self.wind_mw.shape[1]
-        data[:, c:c + n_wind], data[:, c + n_wind:] = self.wind_mw, self.battery_mw
+        # written in blocks of rows, each filled in place: a copy of the
+        # whole table, or stacked copies of the triples, would raise the
+        # peak memory of an export
         with open(path, "w", newline="") as f:
-            np.savetxt(f, data, fmt="%.10g", delimiter=",",
-                       header=",".join(cols), comments="")
+            f.write(",".join(cols) + "\n")
+            for start in range(0, len(self.times), _CSV_BLOCK_ROWS):
+                rows = slice(start, start + _CSV_BLOCK_ROWS)
+                block = np.empty((len(self.times[rows]), len(cols)))
+                c = 1 + len(self.bus_ids)
+                block[:, 0], block[:, 1:c] = self.times[rows], self.bus_freq[rows]
+                for triple in triples:
+                    width = 3 * triple[0].shape[1]
+                    for k, a in enumerate(triple):
+                        block[:, c + k:c + width:3] = a[rows]
+                    c += width
+                block[:, c:c + n_wind] = self.wind_mw[rows]
+                block[:, c + n_wind:] = self.battery_mw[rows]
+                np.savetxt(f, block, fmt="%.10g", delimiter=",")
 
 
 def run_scenario(model: GridModel, scenario: Scenario,
@@ -691,7 +755,7 @@ def run_ensemble(model: GridModel, scenarios: list[Scenario],
     state = init_system(model, scenarios, params, profiles)
     first = scenarios[0]
     dt = first.dt_s
-    dec = round(first.output_dt_s / dt)
+    dec = first.steps_per_record
     n_rec = first.n_steps // dec + 1
     due: dict[int, list[ContingencyEvent]] = {}
     for ev in sorted(first.events, key=lambda e: e.time_s):
@@ -722,7 +786,7 @@ def run_ensemble(model: GridModel, scenarios: list[Scenario],
     for k in range(first.n_steps):
         for ev in due.get(k, ()):
             apply_contingency(state, ev)
-        step_system(state, dt)
+        step_system(state)
         if (k + 1) % dec == 0:
             record((k + 1) // dec)
 

@@ -16,8 +16,13 @@ Two prime-mover chains are provided:
 All scalar first-order lags are advanced by exact exponential
 discretization, so they are unconditionally stable regardless of the
 step size (the speed-relay time constant is 1 ms, far below typical
-integration steps).  States are plain dataclasses; step functions are
-pure and return new states, enabling deterministic replay.
+integration steps).  What a step derives from the parameters and the
+step size alone (each lag's decay exp(-dt/tau)) is computed once, by
+``steam_constants``/``hydro_constants``, and passed to every step.
+
+States are plain mutable dataclasses.  Step functions advance them in
+place by rebinding fields to new values, never writing into a field's
+array, so a field read before a step keeps its step-start value.
 
 Every function is elementwise: a state or parameter field holds either
 one unit's scalar or an array over a bank of units of one kind, and one
@@ -28,16 +33,24 @@ swing equation is integrated by the engine, over all machines at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 GATE_FLOOR = 1e-4   # gate floor preventing (q/G)^2 blow-up
 
 
-def _lag(state, target, tau, dt: float):
-    """Exact one-step response of dx/dt = (u - x)/tau for constant u."""
-    return target + (state - target) * np.exp(-dt / tau)
+def lag_decay(tau, dt: float):
+    """Per-step decay exp(-dt/tau) of a first-order lag."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return np.exp(-dt / tau)
+
+
+def _lag(state, target, decay):
+    """Exact one-step response of dx/dt = (u - x)/tau for constant u,
+    ``decay`` being ``lag_decay(tau, dt)``."""
+    return target + (state - target) * decay
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +74,7 @@ class SteamParams:
     f_lp: float = 0.4              # F_LPA + F_LPB
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SteamGovState:
     load_ref: float = 0.0          # valve set-point from dispatch
     relay_out: float = 0.0         # speed-relay lag state
@@ -70,6 +83,24 @@ class SteamGovState:
     p_reheat: float = 0.0
     p_crossover: float = 0.0
     valve_cap: float = math.inf    # operational cap (allocated reserve)
+
+
+@dataclass(frozen=True, slots=True)
+class SteamConstants:
+    """What a steam step derives from ``SteamParams`` and ``dt`` alone."""
+
+    dt: float
+    relay: float                   # lag decays exp(-dt/tau)
+    servo: float
+    chest: float
+    reheat: float
+    crossover: float
+
+
+def steam_constants(params: SteamParams, dt: float) -> SteamConstants:
+    return SteamConstants(dt, *(lag_decay(tau, dt) for tau in (
+        params.t_relay, params.t_servo, params.t_chest, params.t_reheat,
+        params.t_crossover)))
 
 
 def steam_init(p_set: float, params: SteamParams,
@@ -82,40 +113,39 @@ def steam_init(p_set: float, params: SteamParams,
 
 
 def steam_governor_step(s: SteamGovState, params: SteamParams,
-                        delta_omega: float, dt: float) -> SteamGovState:
+                        delta_omega: float, k: SteamConstants) -> None:
     """Advance governor/servomotor one step for speed deviation ``delta_omega``.
 
     The speed reference is constant (no AGC), so the valve demand is the
     load reference plus gain times the negated speed deviation.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = k.dt
     demand = s.load_ref + params.gain * (0.0 - delta_omega)
-    relay = _lag(s.relay_out, demand, params.t_relay, dt)
+    relay = _lag(s.relay_out, demand, k.relay)
     # exact lag toward the relay output unless the implied rate saturates
-    candidate = _lag(s.valve, relay, params.t_servo, dt)
+    candidate = _lag(s.valve, relay, k.servo)
     rate = (candidate - s.valve) / dt
     rate = np.minimum(np.maximum(rate, params.rate_close), params.rate_open)
     valve = s.valve + rate * dt
-    valve = np.minimum(np.maximum(valve, params.valve_min),
-                       np.minimum(params.valve_max, s.valve_cap))
-    return replace(s, relay_out=relay, valve=valve)
+    s.relay_out = relay
+    s.valve = np.minimum(np.maximum(valve, params.valve_min),
+                         np.minimum(params.valve_max, s.valve_cap))
 
 
-def steam_turbine_step(s: SteamGovState, params: SteamParams, dt: float,
-                       valve_prev: float | None = None) -> tuple[SteamGovState, float]:
-    """Advance the turbine stage cascade; returns (state, P_m in machine p.u.).
+def steam_turbine_step(s: SteamGovState, params: SteamParams, k: SteamConstants,
+                       valve_prev: float | None = None) -> float:
+    """Advance the turbine stage cascade; returns P_m in machine p.u.
 
     Each stage's held input is the step-average of its driving signal
     (midpoint rule), so the cascade coupling is second-order accurate;
     ``valve_prev`` supplies the valve position at the start of the step.
     """
     u_v = s.valve if valve_prev is None else 0.5 * (valve_prev + s.valve)
-    p_ch = _lag(s.p_chest, u_v, params.t_chest, dt)
-    p_rh = _lag(s.p_reheat, 0.5 * (s.p_chest + p_ch), params.t_reheat, dt)
-    p_co = _lag(s.p_crossover, 0.5 * (s.p_reheat + p_rh), params.t_crossover, dt)
-    p_m = params.f_hp * p_ch + params.f_ip * p_rh + params.f_lp * p_co
-    return replace(s, p_chest=p_ch, p_reheat=p_rh, p_crossover=p_co), p_m
+    p_ch = _lag(s.p_chest, u_v, k.chest)
+    p_rh = _lag(s.p_reheat, 0.5 * (s.p_chest + p_ch), k.reheat)
+    p_co = _lag(s.p_crossover, 0.5 * (s.p_reheat + p_rh), k.crossover)
+    s.p_chest, s.p_reheat, s.p_crossover = p_ch, p_rh, p_co
+    return params.f_hp * p_ch + params.f_ip * p_rh + params.f_lp * p_co
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +171,7 @@ class HydroParams:
         return self.a_t if self.a_t is not None else 1.0 / (1.0 - self.q_nl)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HydroGovState:
     pid_int: float = 0.0           # integrator state
     pid_filt: float = 0.0          # filtered-derivative lag state
@@ -149,7 +179,26 @@ class HydroGovState:
     gate: float = 0.0              # gate position G in [0, gate_cap]
     flow: float = 0.0              # water flow q, p.u.
     power_ref: float = 0.0         # electrical power set-point for droop feedback
+    gate_ref: float = 0.0          # gate position at power_ref
     gate_cap: float = 1.0          # operational cap (allocated reserve)
+
+
+@dataclass(frozen=True, slots=True)
+class HydroConstants:
+    """What a hydro step derives from ``HydroParams`` and ``dt`` alone."""
+
+    dt: float
+    servo: float                   # servomotor lag decay exp(-dt/t_servo)
+    has_d: bool                    # kd > 0: the unit has a derivative term
+    any_d: bool                    # some unit has one
+    filt: float | None             # filter lag decay; None without derivative terms
+
+
+def hydro_constants(params: HydroParams, dt: float) -> HydroConstants:
+    has_d = params.kd > 0.0
+    any_d = bool(np.any(has_d))
+    return HydroConstants(dt, lag_decay(params.t_servo, dt), has_d, any_d,
+                          lag_decay(params.t_filter, dt) if any_d else None)
 
 
 def hydro_init(p_set: float, params: HydroParams,
@@ -160,58 +209,56 @@ def hydro_init(p_set: float, params: HydroParams,
         raise ValueError(f"set-point {p_set} outside gate range (gate {gate})")
     p_cap = p_set + reserve
     gate_cap = np.minimum(1.0, p_cap / params.turbine_gain + params.q_nl)
-    return HydroGovState(gate=gate, flow=gate, power_ref=p_set,
+    return HydroGovState(gate=gate, flow=gate, power_ref=p_set, gate_ref=gate,
                          gate_cap=gate_cap)
 
 
 def hydro_governor_step(s: HydroGovState, params: HydroParams,
                         delta_omega: float, delta_pe: float,
-                        dt: float) -> HydroGovState:
+                        k: HydroConstants) -> None:
     """Advance PID governor + servomotor one step.
 
     ``delta_pe`` is the electrical power deviation from the set-point
     (machine p.u.); it is the droop feedback signal unless
-    ``droop_on_power`` is off, in which case the gate deviation is used.
-    The integrator holds (anti-windup) while the gate is pinned at a
-    limit and the error pushes further into it.
+    ``droop_on_power`` is off, in which case the gate deviation from
+    ``gate_ref`` is used.  The integrator holds (anti-windup) while the
+    gate is pinned at a limit and the error pushes further into it.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    gate0 = s.power_ref / params.turbine_gain + params.q_nl
+    dt = k.dt
     # midpoint gate estimate keeps the feedback consistent with the
     # (midpoint) speed deviation supplied by the caller
     gate_mid = s.gate + 0.5 * s.servo_vel * dt
     feedback = np.where(params.droop_on_power, params.droop * delta_pe,
-                        params.droop * (gate_mid - gate0) * params.turbine_gain)
+                        params.droop * (gate_mid - s.gate_ref) * params.turbine_gain)
     err = -delta_omega - feedback
 
     at_max = (s.gate >= s.gate_cap - 1e-12) & (err > 0)
     at_min = (s.gate <= GATE_FLOOR) & (err < 0)
     pid_int = np.where(at_max | at_min, s.pid_int, s.pid_int + params.ki * err * dt)
 
-    has_d = params.kd > 0.0
-    if np.any(has_d):
-        filt = np.where(has_d, _lag(s.pid_filt, err, params.t_filter, dt), s.pid_filt)
-        deriv = np.where(has_d, params.kd * (err - filt) / params.t_filter, 0.0)
+    if k.any_d:
+        filt = np.where(k.has_d, _lag(s.pid_filt, err, k.filt), s.pid_filt)
+        deriv = np.where(k.has_d, params.kd * (err - filt) / params.t_filter, 0.0)
     else:
         filt, deriv = s.pid_filt, 0.0
 
     u = params.kp * err + 0.5 * (s.pid_int + pid_int) + deriv
     # servomotor: first-order lag commanding gate velocity, then integration
     # to gate position (the gate itself holds when the PID output is zero)
-    vel = _lag(s.servo_vel, params.servo_gain * u, params.t_servo, dt)
+    vel = _lag(s.servo_vel, params.servo_gain * u, k.servo)
     # trapezoidal gate integration keeps the position second-order accurate
-    gate = np.minimum(np.maximum(s.gate + 0.5 * (s.servo_vel + vel) * dt, 0.0),
-                      s.gate_cap)
-    return replace(s, pid_int=pid_int, pid_filt=filt, servo_vel=vel, gate=gate)
+    s.gate = np.minimum(np.maximum(s.gate + 0.5 * (s.servo_vel + vel) * dt, 0.0),
+                        s.gate_cap)
+    s.pid_int, s.pid_filt, s.servo_vel = pid_int, filt, vel
 
 
-def hydro_turbine_step(s: HydroGovState, params: HydroParams, dt: float,
-                       gate_prev: float | None = None) -> tuple[HydroGovState, float]:
+def hydro_turbine_step(s: HydroGovState, params: HydroParams, k: HydroConstants,
+                       gate_prev: float | None = None) -> float:
     """Advance the penstock flow (RK4, gate held at its step average);
-    returns (state, P_m).  ``gate_prev`` is the gate position at the
-    start of the step; omitting it freezes the gate at its current value.
+    returns P_m.  ``gate_prev`` is the gate position at the start of the
+    step; omitting it freezes the gate at its current value.
     """
+    dt = k.dt
     g_held = s.gate if gate_prev is None else 0.5 * (gate_prev + s.gate)
     g = np.maximum(g_held, GATE_FLOOR)
     tw = params.t_water
@@ -227,8 +274,7 @@ def hydro_turbine_step(s: HydroGovState, params: HydroParams, dt: float,
     k2 = dq(q + 0.5 * dt * k1)
     k3 = dq(q + 0.5 * dt * k2)
     k4 = dq(q + dt * k3)
-    q_new = np.maximum(q + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
+    s.flow = q_new = np.maximum(q + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
     r = q_new / np.maximum(s.gate, GATE_FLOOR)      # at the endpoint gate
     head = r * r
-    p_m = params.turbine_gain * head * (q_new - params.q_nl)
-    return replace(s, flow=q_new), p_m
+    return params.turbine_gain * head * (q_new - params.q_nl)

@@ -10,7 +10,7 @@ additive increments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 SHED_LEVELS = (0.0, 0.05, 0.15, 0.25, 0.35, 0.45, 0.50)
 
@@ -72,6 +72,8 @@ def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
     if f_meas < f0 - 1.0:
         # shedding region: may only deepen (absolute staircase)
         target = max(r.level, shed_level_for_frequency(f_meas, f0))
+    elif r.level == 0.0 and r.candidate is None and r.timer == 0.0:
+        return r                # nothing shed or pending, nothing to restore
     else:
         restore = restoration_level_for_frequency(f_meas, f0)
         if restore is not None and restore < r.level:
@@ -79,17 +81,18 @@ def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
         else:
             target = r.level    # dead band / restoration not reached: hold
 
+    # each transition builds the next state with one positional call
     if target == r.level:
         if r.candidate is None and r.timer == 0.0:
             return r
-        return replace(r, candidate=None, timer=0.0)
+        return UflsRelayState(r.bus, f0, r.level, None, 0.0, r.delay, r.restore_delay)
     if target != r.candidate:
-        return replace(r, candidate=target, timer=dt)
+        return UflsRelayState(r.bus, f0, r.level, target, dt, r.delay, r.restore_delay)
     timer = r.timer + dt
     delay = r.delay if target > r.level else r.restore_delay
     if timer >= delay - 1e-12:
-        return replace(r, level=target, candidate=None, timer=0.0)
-    return replace(r, timer=timer)
+        return UflsRelayState(r.bus, f0, target, None, 0.0, r.delay, r.restore_delay)
+    return UflsRelayState(r.bus, f0, r.level, target, timer, r.delay, r.restore_delay)
 
 
 def estimate_frequency(theta, prev_theta, filt, dt: float, tau: float,

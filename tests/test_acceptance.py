@@ -68,9 +68,11 @@ class TestDroopLaw:
 # 2. relay exactness over randomized traces
 # ---------------------------------------------------------------------------
 
-def _reference_relay_trace(freqs, dt, delay, restore_delay, f0=60.0):
-    """Independent table-driven automaton producing committed levels."""
-    level, cand, timer = 0.0, None, 0.0
+def _reference_relay_trace(freqs, dt, delay, restore_delay, f0=60.0,
+                           start=(0.0, None, 0.0)):
+    """Independent table-driven automaton producing (level, candidate,
+    timer) after each sample, from the state ``start``."""
+    level, cand, timer = start
     out = []
     for f in freqs:
         if f < f0 - 1.0:
@@ -95,7 +97,7 @@ def _reference_relay_trace(freqs, dt, delay, restore_delay, f0=60.0):
             timer += dt
             if timer >= (delay if tgt > level else restore_delay) - 1e-12:
                 level, cand, timer = tgt, None, 0.0
-        out.append(level)
+        out.append((level, cand, timer))
     return out
 
 
@@ -113,8 +115,32 @@ class TestRelayExactness:
                                           relay.restore_delay)
             for k, fk in enumerate(f):
                 relay = ufls_step(relay, float(fk), dt)
-                assert relay.level == want[k]
+                assert (relay.level, relay.candidate, relay.timer) == want[k]
                 assert relay.level in SHED_LEVELS
+
+    def test_randomized_traces_from_any_start_state(self):
+        """Traces from a drawn (level, candidate, timer): a pending
+        candidate or a committed level, with or without a running timer
+        (a timer without a candidate too), so every transition out of
+        each state is reached, not only those a trace from rest reaches."""
+        rng = np.random.default_rng(7)
+        dt = 0.01
+        for _ in range(1000):
+            level = float(rng.choice(SHED_LEVELS))
+            others = [lv for lv in SHED_LEVELS if lv != level]
+            cand = None if rng.random() < 0.4 else float(rng.choice(others))
+            timer = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.2))
+            n = int(rng.integers(20, 200))
+            f = 60.0 + float(rng.uniform(-2.5, 1.0)) + np.cumsum(
+                rng.normal(0.0, 0.1, size=n))
+            f = np.clip(f, 57.5, 61.0)
+            relay = UflsRelayState(bus=1, f0=60.0, level=level, candidate=cand, timer=timer,
+                                   restore_delay=float(rng.uniform(0.1, 0.5)))
+            want = _reference_relay_trace(f, dt, relay.delay, relay.restore_delay,
+                                          start=(level, cand, timer))
+            for k, fk in enumerate(f):
+                relay = ufls_step(relay, float(fk), dt)
+                assert (relay.level, relay.candidate, relay.timer) == want[k]
 
 
 # ---------------------------------------------------------------------------

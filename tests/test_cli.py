@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -91,6 +92,60 @@ class TestRun:
         assert rc == EXIT_VALIDATION
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "mout").exists()
+
+    def test_workers_capped_at_scenario_count(self, grid_file, scenario_file,
+                                              tmp_path, monkeypatch):
+        """--jobs 8 over two scenarios asks the pool for two workers; a
+        stand-in executor records the request and runs the work in-process."""
+        requested = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        other = tmp_path / "other.yaml"
+        other.write_text(yaml.safe_dump(dict(yaml.safe_load(scenario_file.read_text()),
+                                             name="other")))
+        out = tmp_path / "results"
+        rc = main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
+                   "--scenario", str(other), "--jobs", "8", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert requested == [2]
+        assert (out / "tiny" / "metrics.json").exists()
+        assert (out / "other" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, grid_file, scenario_file, tmp_path,
+                                    capsys, jobs):
+        out = tmp_path / "results"
+        rc = main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
+                   "--jobs", jobs, "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_scenario_name_exits_2(self, grid_file, scenario_file,
+                                            tmp_path, capsys):
+        """Two scenarios named alike would write one output directory."""
+        twin = tmp_path / "twin.yaml"
+        twin.write_text(yaml.safe_dump(dict(yaml.safe_load(scenario_file.read_text()),
+                                            seed=4)))
+        out = tmp_path / "results"
+        rc = main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
+                   "--scenario", str(twin), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "tiny" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_without_scenarios_exits_2(self, capsys):
         assert main(["run"]) == EXIT_VALIDATION

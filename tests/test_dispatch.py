@@ -93,6 +93,17 @@ class TestErrorCdf:
         assert np.allclose(cdf.eps, [-0.1, 0.0, 0.1])
         assert np.allclose(cdf.prob, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("rows", ["-0.1,0\ninf,1\n",
+                                      "-0.1,0\n0,nan\n0.1,1\n",
+                                      "-inf,0\n0.1,1\n"])
+    def test_from_csv_rejects_non_finite(self, tmp_path, rows):
+        """An infinite breakpoint would be sampled and fail mid-run; a NaN
+        probability passes the ordering checks, which compare False."""
+        p = tmp_path / "cdf.csv"
+        p.write_text(rows)
+        with pytest.raises(CdfError, match="finite"):
+            ErrorCdf.from_csv(p)
+
     def test_from_csv_bad_row(self, tmp_path):
         p = tmp_path / "cdf.csv"
         p.write_text("-0.1,0\nnot,a,number\n")

@@ -168,7 +168,7 @@ class TestInitAndStep:
         prof = build_profiles(four_bus, sc, p)
         st = init_system(four_bus, [sc], p, [prof])
         for _ in range(500):
-            step_system(st, 0.01)
+            step_system(st)
         assert np.max(np.abs(st.speed_dev)) < 1e-12
         assert st.max_residual < 1e-9
 
@@ -203,9 +203,42 @@ class TestInitAndStep:
         for k in range(1000):
             if k == 400:
                 apply_contingency(st, ContingencyEvent(4.0, "G7"))
-            rec = step_system(st, 0.01)
+            rec = step_system(st)
             worst = max(worst, abs(rec["balance_mw"]))
         assert worst < 1e-9 * ieee39.base_mva
+
+    def test_cached_values_match_a_rebuild_after_every_step(self, ieee39):
+        """A step reuses the injections of its profile second until a relay
+        commits, and the online machines' values until a trip: after every
+        step of a shedding run with a trip and commits inside a second,
+        what the next step reuses equals a rebuild from scratch."""
+        from gridfreq.engine import apply_contingency
+        p = SimParams.from_model(ieee39)
+        sc = Scenario(name="c", case="B", duration_s=8, seed=1)
+        st = init_system(ieee39, [sc], p, [build_profiles(ieee39, sc, p)])
+        mid_second_commits = 0
+        for k in range(sc.n_steps):
+            if k == 250:                    # at 2.5 s, inside second 2
+                for g in ("G4", "G6"):
+                    apply_contingency(st, ContingencyEvent(2.5, g))
+            levels, sec = st.shed_levels(), int(st.clock)
+            step_system(st)
+            if sec == int(st.clock) and not np.array_equal(st.shed_levels(), levels):
+                mid_second_commits += 1
+            if st._inj is not None and st._inj.sec == int(st.clock):
+                fresh = st.injections(int(st.clock))
+                for name in ("mw", "pu", "member_mw"):
+                    np.testing.assert_array_equal(getattr(st._inj, name),
+                                                  getattr(fresh, name))
+            on = st.online.nonzero()[0]
+            np.testing.assert_array_equal(st._on.idx, on)
+            np.testing.assert_array_equal(st._on.off, ~st.online)
+            for view, full in (("bus", "gen_bus"), ("b_coupling", "b_coupling"),
+                               ("rating", "rating"), ("two_h", "two_h"), ("d", "d")):
+                np.testing.assert_array_equal(getattr(st._on, view),
+                                              getattr(st, full)[on])
+        assert not st.online[[3, 5]].any()
+        assert mid_second_commits >= 1
 
     def test_contingency_trips_and_warns_on_double_trip(self, ieee39, caplog):
         p = quick_params(ieee39)

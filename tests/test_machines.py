@@ -21,9 +21,10 @@ from gridfreq.engine import (ContingencyEvent, Scenario, SimParams,
                              build_profiles, run_scenario)
 from gridfreq.grid import GridConfigError
 from gridfreq.machines import (GATE_FLOOR, HydroGovState, HydroParams,
-                               SteamGovState, SteamParams, _lag,
-                               hydro_governor_step, hydro_init,
-                               hydro_turbine_step, steam_governor_step,
+                               SteamGovState, SteamParams, _lag, lag_decay,
+                               hydro_constants, hydro_governor_step,
+                               hydro_init, hydro_turbine_step,
+                               steam_constants, steam_governor_step,
                                steam_init, steam_turbine_step)
 from gridfreq.protection import estimate_frequency
 
@@ -38,20 +39,20 @@ class TestLag:
     def test_matches_closed_form(self):
         tau, dt = 0.3, 0.05
         x, u = 1.0, 4.0
-        got = _lag(x, u, tau, dt)
+        got = _lag(x, u, lag_decay(tau, dt))
         want = u + (x - u) * math.exp(-dt / tau)
         assert got == pytest.approx(want, rel=1e-15)
 
     def test_stable_for_any_step_size(self):
         # dt >> tau must not overshoot (exact discretization, not Euler)
-        x = _lag(0.0, 1.0, 0.001, 1.0)
+        x = _lag(0.0, 1.0, lag_decay(0.001, 1.0))
         assert 0.0 < x <= 1.0
 
     def test_composition_over_substeps(self):
         # exactness: one step of dt equals two steps of dt/2
         tau = 0.2
-        one = _lag(0.3, 2.0, tau, 0.1)
-        two = _lag(_lag(0.3, 2.0, tau, 0.05), 2.0, tau, 0.05)
+        one = _lag(0.3, 2.0, lag_decay(tau, 0.1))
+        two = _lag(_lag(0.3, 2.0, lag_decay(tau, 0.05)), 2.0, lag_decay(tau, 0.05))
         assert one == pytest.approx(two, rel=1e-14)
 
 
@@ -62,10 +63,10 @@ class TestLag:
 class TestSteam:
     def test_equilibrium_holds(self):
         params = SteamParams()
-        s = steam_init(0.7, params)
+        s, k = steam_init(0.7, params), steam_constants(params, 0.01)
         for _ in range(1000):
-            s = steam_governor_step(s, params, 0.0, 0.01)
-            s, p_m = steam_turbine_step(s, params, 0.01)
+            steam_governor_step(s, params, 0.0, k)
+            p_m = steam_turbine_step(s, params, k)
         assert p_m == pytest.approx(0.7, abs=1e-12)
         assert s.valve == pytest.approx(0.7, abs=1e-12)
 
@@ -73,11 +74,11 @@ class TestSteam:
         """Constant speed deviation -> valve settles at load_ref - gain*dw
         and the turbine DC gain is one."""
         params = SteamParams()
-        s = steam_init(0.5, params, reserve=10.0)
+        s, k = steam_init(0.5, params, reserve=10.0), steam_constants(params, 0.01)
         dw = -0.002
         for _ in range(12000):          # 120 s >> reheater time constant
-            s = steam_governor_step(s, params, dw, 0.01)
-            s, p_m = steam_turbine_step(s, params, 0.01)
+            steam_governor_step(s, params, dw, k)
+            p_m = steam_turbine_step(s, params, k)
         want = 0.5 - params.gain * dw
         assert s.valve == pytest.approx(want, abs=1e-9)
         assert p_m == pytest.approx(want, rel=1e-6)
@@ -90,25 +91,26 @@ class TestSteam:
         params = SteamParams()
         s = steam_init(0.2, params, reserve=10.0)
         dt = 0.01
+        k = steam_constants(params, dt)
         prev = s.valve
         for _ in range(200):
-            s = steam_governor_step(s, params, -0.05, dt)   # huge demand
+            steam_governor_step(s, params, -0.05, k)        # huge demand
             rate = (s.valve - prev) / dt
             assert rate <= params.rate_open + 1e-12
             prev = s.valve
 
     def test_valve_cap_from_reserve(self):
         params = SteamParams()
-        s = steam_init(0.5, params, reserve=0.1)
+        s, k = steam_init(0.5, params, reserve=0.1), steam_constants(params, 0.01)
         for _ in range(5000):
-            s = steam_governor_step(s, params, -0.1, 0.01)
+            steam_governor_step(s, params, -0.1, k)
         assert s.valve == pytest.approx(0.6, abs=1e-12)
 
     def test_valve_floor(self):
         params = SteamParams()
-        s = steam_init(0.1, params)
+        s, k = steam_init(0.1, params), steam_constants(params, 0.01)
         for _ in range(5000):
-            s = steam_governor_step(s, params, 0.1, 0.01)
+            steam_governor_step(s, params, 0.1, k)
         assert s.valve >= params.valve_min
 
     def test_turbine_cascade_matches_ode_oracle(self):
@@ -123,8 +125,9 @@ class TestSteam:
         n = int(round(horizon / dt))
         got_t = (np.arange(n) + 1) * dt
         got_p = np.empty(n)
-        for k in range(n):
-            s, got_p[k] = steam_turbine_step(s, params, dt)
+        k = steam_constants(params, dt)
+        for j in range(n):
+            got_p[j] = steam_turbine_step(s, params, k)
 
         def rhs(_t, y):
             ch, rh, co = y
@@ -139,18 +142,18 @@ class TestSteam:
         assert np.max(np.abs(got_p - want)) < 2e-3
 
     def test_mech_power_helper_consistent(self):
-        """P_m is the fraction-weighted sum of the returned stage states."""
+        """P_m is the fraction-weighted sum of the advanced stage states."""
         params = SteamParams()
         s = steam_init(0.42, params)
-        s2, p_m = steam_turbine_step(s, params, 0.01)
-        assert (params.f_hp * s2.p_chest + params.f_ip * s2.p_reheat
-                + params.f_lp * s2.p_crossover) == pytest.approx(p_m, rel=1e-14)
+        p_m = steam_turbine_step(s, params, steam_constants(params, 0.01))
+        assert (params.f_hp * s.p_chest + params.f_ip * s.p_reheat
+                + params.f_lp * s.p_crossover) == pytest.approx(p_m, rel=1e-14)
 
     def test_rejects_nonpositive_dt(self):
         params = SteamParams()
         s = steam_init(0.5, params)
         with pytest.raises(ValueError):
-            steam_governor_step(s, params, 0.0, 0.0)
+            steam_governor_step(s, params, 0.0, steam_constants(params, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +163,10 @@ class TestSteam:
 class TestHydro:
     def test_equilibrium_holds(self):
         params = HydroParams()
-        s = hydro_init(0.6, params)
+        s, k = hydro_init(0.6, params), hydro_constants(params, 0.01)
         for _ in range(2000):
-            s = hydro_governor_step(s, params, 0.0, 0.0, 0.01)
-            s, p_m = hydro_turbine_step(s, params, 0.01)
+            hydro_governor_step(s, params, 0.0, 0.0, k)
+            p_m = hydro_turbine_step(s, params, k)
         assert p_m == pytest.approx(0.6, abs=1e-10)
 
     def test_init_gate_solves_power(self):
@@ -180,11 +183,11 @@ class TestHydro:
         """Constant speed deviation -> gate settles where the droop
         feedback cancels it: delta_P = -dw / droop."""
         params = HydroParams(droop_on_power=False)
-        s = hydro_init(0.5, params, reserve=10.0)
+        s, k = hydro_init(0.5, params, reserve=10.0), hydro_constants(params, 0.01)
         dw = -0.003
         for _ in range(60000):          # 600 s: integral tail is slow
-            s = hydro_governor_step(s, params, dw, 0.0, 0.01)
-            s, p_m = hydro_turbine_step(s, params, 0.01)
+            hydro_governor_step(s, params, dw, 0.0, k)
+            p_m = hydro_turbine_step(s, params, k)
         want = 0.5 - dw / params.droop
         assert p_m == pytest.approx(want, rel=1e-4)
 
@@ -192,15 +195,15 @@ class TestHydro:
         """With droop on electrical power the same equilibrium applies,
         fed back from delta_pe directly."""
         params = HydroParams(droop_on_power=True)
-        s = hydro_init(0.5, params, reserve=10.0)
+        s, k = hydro_init(0.5, params, reserve=10.0), hydro_constants(params, 0.01)
         dw = -0.003
         # at equilibrium the PID error is zero: -dw = droop * delta_pe
         dpe = -dw / params.droop
         for _ in range(5000):
-            s2 = hydro_governor_step(s, params, dw, dpe, 0.01)
-            if abs(s2.gate - s.gate) < 1e-14:
+            gate = s.gate
+            hydro_governor_step(s, params, dw, dpe, k)
+            if abs(s.gate - gate) < 1e-14:
                 break
-            s = s2
         # gate velocity must be settling toward zero
         assert abs(s.servo_vel) < 1e-6
 
@@ -209,16 +212,18 @@ class TestHydro:
         s = hydro_init(0.5, params, reserve=0.1)
         gate_cap = 0.6 / params.turbine_gain + params.q_nl
         assert s.gate_cap == pytest.approx(gate_cap)
+        k = hydro_constants(params, 0.01)
         for _ in range(20000):
-            s = hydro_governor_step(s, params, -0.05, 0.0, 0.01)
+            hydro_governor_step(s, params, -0.05, 0.0, k)
         assert s.gate <= s.gate_cap + 1e-12
 
     def test_antiwindup_freezes_integrator_at_cap(self):
         params = HydroParams()
         s = hydro_init(0.5, params, reserve=0.0)   # pinned at the cap
+        k = hydro_constants(params, 0.01)
         pid0 = None
         for _ in range(100):
-            s = hydro_governor_step(s, params, -0.05, 0.0, 0.01)
+            hydro_governor_step(s, params, -0.05, 0.0, k)
             if s.gate >= s.gate_cap - 1e-12:
                 if pid0 is None:
                     pid0 = s.pid_int
@@ -236,8 +241,9 @@ class TestHydro:
         horizon = 5.0
         got_t, got_q = [], []
         t = 0.0
+        k = hydro_constants(params, dt)
         while t < horizon - 1e-9:
-            s, _ = hydro_turbine_step(s, params, dt)
+            hydro_turbine_step(s, params, k)
             t += dt
             got_t.append(t)
             got_q.append(s.flow)
@@ -254,18 +260,18 @@ class TestHydro:
     def test_non_minimum_phase_power_dip(self):
         """Opening the gate first reduces mechanical power (head drop)."""
         params = HydroParams()
-        s = hydro_init(0.5, params)
-        _, p0 = hydro_turbine_step(s, params, 0.01)
+        s, k = hydro_init(0.5, params), hydro_constants(params, 0.01)
+        p0 = hydro_turbine_step(s, params, k)
         s = s.__class__(gate=s.gate + 0.1, flow=s.flow, power_ref=0.5,
                         gate_cap=1.0)
-        s, p_after = hydro_turbine_step(s, params, 0.01)
+        p_after = hydro_turbine_step(s, params, k)
         assert p_after < p0
 
     def test_gate_floor_prevents_blowup(self):
         params = HydroParams()
         s = hydro_init(0.3, params)
         s = s.__class__(gate=0.0, flow=0.05, power_ref=0.3, gate_cap=1.0)
-        s, p_m = hydro_turbine_step(s, params, 0.01)
+        p_m = hydro_turbine_step(s, params, hydro_constants(params, 0.01))
         assert math.isfinite(p_m)
         assert s.flow >= 0.0
         assert GATE_FLOOR > 0.0
@@ -274,7 +280,7 @@ class TestHydro:
         params = HydroParams()
         s = hydro_init(0.5, params)
         with pytest.raises(ValueError):
-            hydro_governor_step(s, params, 0.0, 0.0, -0.01)
+            hydro_governor_step(s, params, 0.0, 0.0, hydro_constants(params, -0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +399,7 @@ def hydro_bank(values, flags):
     state = HydroGovState(
         pid_int=values(-0.5, 0.5), pid_filt=values(-0.1, 0.1),
         servo_vel=values(-0.5, 0.5), gate=gate, flow=values(0.0, 1.2),
-        power_ref=values(0.0, 0.9), gate_cap=gate_cap)
+        power_ref=values(0.0, 0.9), gate_ref=values(0.0, 1.0), gate_cap=gate_cap)
     params = HydroParams(
         kp=values(0.0, 3.0), ki=values(0.0, 1.0),
         kd=np.where(flags(), 0.0, values(0.0, 1.0)), t_filter=values(0.005, 0.1),
@@ -404,43 +410,53 @@ def hydro_bank(values, flags):
 
 
 class TestBankEqualsScalarCalls:
+    """Scalar units are copies taken before the bank call, which advances
+    the bank's state in place."""
+
     @given(banks(lambda values, flags: (values(-5.0, 5.0), values(-5.0, 5.0),
                                           values(1e-4, 10.0))), DT)
     def test_lag(self, bank, dt):
-        assert_same_bits(_lag(*bank, dt),
-                         [_lag(x, u, tau, dt) for x, u, tau in zip(*bank)])
+        x, u, tau = bank
+        assert_same_bits(_lag(x, u, lag_decay(tau, dt)),
+                         [_lag(*unit, lag_decay(t, dt)) for *unit, t in zip(*bank)])
 
     @given(banks(steam_bank), DT)
     def test_steam_governor(self, bank, dt):
         s, p, dw = bank
-        assert_same_bits(steam_governor_step(s, p, dw, dt),
-                         [steam_governor_step(*unit, dt)
-                          for unit in zip(units(s), units(p), dw)])
+        want = list(zip(units(s), units(p), dw))
+        for unit in want:
+            steam_governor_step(*unit, steam_constants(unit[1], dt))
+        steam_governor_step(s, p, dw, steam_constants(p, dt))
+        assert_same_bits(s, [us for us, _, _ in want])
 
     @given(banks(steam_bank), DT, st.booleans())
     def test_steam_turbine(self, bank, dt, with_prev):
         s, p, dw = bank
         prev = s.valve + dw if with_prev else [None] * len(dw)
-        assert_same_bits(
-            steam_turbine_step(s, p, dt, valve_prev=prev if with_prev else None),
-            [steam_turbine_step(*unit, dt, valve_prev=v)
-             for *unit, v in zip(units(s), units(p), prev)])
+        want = [(us, steam_turbine_step(us, up, steam_constants(up, dt), valve_prev=v))
+                for us, up, v in zip(units(s), units(p), prev)]
+        p_m = steam_turbine_step(s, p, steam_constants(p, dt),
+                                 valve_prev=prev if with_prev else None)
+        assert_same_bits((s, p_m), want)
 
     @given(banks(hydro_bank), DT)
     def test_hydro_governor(self, bank, dt):
         s, p, dw, dpe = bank
-        assert_same_bits(hydro_governor_step(s, p, dw, dpe, dt),
-                         [hydro_governor_step(*unit, dt)
-                          for unit in zip(units(s), units(p), dw, dpe)])
+        want = list(zip(units(s), units(p), dw, dpe))
+        for unit in want:
+            hydro_governor_step(*unit, hydro_constants(unit[1], dt))
+        hydro_governor_step(s, p, dw, dpe, hydro_constants(p, dt))
+        assert_same_bits(s, [us for us, *_ in want])
 
     @given(banks(hydro_bank), DT, st.booleans())
     def test_hydro_turbine(self, bank, dt, with_prev):
         s, p, dw, _ = bank
         prev = np.maximum(s.gate + dw, 0.0) if with_prev else [None] * len(dw)
-        assert_same_bits(
-            hydro_turbine_step(s, p, dt, gate_prev=prev if with_prev else None),
-            [hydro_turbine_step(*unit, dt, gate_prev=g)
-             for *unit, g in zip(units(s), units(p), prev)])
+        want = [(us, hydro_turbine_step(us, up, hydro_constants(up, dt), gate_prev=g))
+                for us, up, g in zip(units(s), units(p), prev)]
+        p_m = hydro_turbine_step(s, p, hydro_constants(p, dt),
+                                 gate_prev=prev if with_prev else None)
+        assert_same_bits((s, p_m), want)
 
     @given(banks(lambda values, flags: (values(-50.0, 50.0), values(-50.0, 50.0),
                                           values(-5.0, 5.0))),

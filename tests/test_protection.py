@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gridfreq.protection import (SHED_LEVELS, UflsRelayState,
                                  estimate_frequency,
@@ -131,6 +133,19 @@ class TestRelay:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             ufls_step(UflsRelayState(bus=1), 59.0, 0.0)
+
+    @given(st.floats(min_value=F0 - 1.0, allow_nan=False))
+    @example(F0 - 1.0)
+    def test_idle_relay_returns_itself(self, f):
+        """Nothing shed or pending and f >= f0 - 1: the step returns its
+        input, so idle relays build no new state."""
+        r = UflsRelayState(bus=1, f0=F0)
+        assert ufls_step(r, f, 0.01) is r
+
+    def test_relay_leaves_idle_just_below_first_stage(self):
+        r = UflsRelayState(bus=1, f0=F0)
+        r2 = ufls_step(r, math.nextafter(F0 - 1.0, 0.0), 0.01)
+        assert (r2.level, r2.candidate, r2.timer) == (0.0, 0.05, 0.01)
 
     def test_randomized_against_reference_automaton(self):
         """200 random traces vs an independent re-implementation."""
