@@ -61,14 +61,12 @@ class ErrorCdf:
             # mass at one breakpoint, so only the final probability applies
             raise CdfError("cumulative probabilities must span 0 to 1")
 
-    def sample(self, rng: np.random.Generator, n: int | None = None):
-        """Inverse-transform sampling with linear interpolation;
-        deterministic for a given generator state."""
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` draws by inverse-transform sampling with linear
+        interpolation; deterministic for a given generator state."""
         if self.eps.size == 1:
-            val = self.eps[0]
-            return float(val) if n is None else np.full(n, val)
-        u = rng.random() if n is None else rng.random(n)
-        return np.interp(u, self.prob, self.eps)
+            return np.full(n, self.eps[0])
+        return np.interp(rng.random(n), self.prob, self.eps)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ErrorCdf":

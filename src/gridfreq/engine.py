@@ -230,7 +230,7 @@ def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
                 load_mw[b.id] = make_load_profile(mult, b.load_mw * params.load_scale)
         if b.dispatched:
             rng = np.random.default_rng(_bus_seed(scenario.seed, b.id, 4))
-            eps[b.id] = np.asarray(cdf.sample(rng, n_seconds), dtype=float)
+            eps[b.id] = cdf.sample(rng, n_seconds)
 
     return ProfileSet(wind_mw=wind_mw, load_mw=load_mw, battery_eps=eps)
 
@@ -384,11 +384,7 @@ def _machine_params(gen, params: SimParams):
     if gen.kind == "thermal":
         base, h = mach.SteamParams(gain=1.0 / params.droop), params.h_thermal
     else:
-        # Permanent droop feeds back gate position, not power: that keeps
-        # the non-minimum-phase turbine out of the droop loop, which the
-        # reduced-order model needs for a well-damped regulation mode.
-        base = mach.HydroParams(droop=params.droop, droop_on_power=False)
-        h = params.h_hydro
+        base, h = mach.HydroParams(droop=params.droop), params.h_hydro
     kind_keys = {f.name for f in fields(base)}
     unused = set(ov) - kind_keys - {"h", "d", "coupling_x"}
     if unused:
@@ -421,13 +417,20 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     """Dispatch generation to the forecast operating point and build the
     equilibrium state of one member per (scenario, profiles) pair.
 
-    The scenarios share their duration.  The forecast operating point
+    The members step together, so their scenarios must share events,
+    duration and step sizes, and name only generators of ``model``;
+    otherwise this raises ``ScenarioError``.  The forecast operating point
     depends only on the grid and the parameters, so every member starts
     from the same equilibrium.
     """
     if not scenarios or len(profiles) != len(scenarios):
         raise ScenarioError(f"{len(scenarios)} scenarios and {len(profiles)} "
                             f"profile sets: need one per member, at least one")
+    for sc in scenarios:
+        sc.validate_against(model)
+    if len({replace(sc, name="", case="A", seed=0) for sc in scenarios}) > 1:
+        raise ScenarioError("an ensemble's members need the same events, "
+                            "duration and steps")
     n = len(model.buses)
     n_members = len(scenarios)
     idx = model.bus_pos
@@ -578,8 +581,7 @@ def step_system(state: SystemState) -> dict:
     p_m[steam.idx] = mach.steam_turbine_step(steam.gov, steam.params, steam.k,
                                              valve_prev=valve_prev)
     gate_prev = hydro.gov.gate
-    mach.hydro_governor_step(hydro.gov, hydro.params, dw[hydro.idx],
-                             state.p_elec[hydro.idx] - hydro.gov.power_ref, hydro.k)
+    mach.hydro_governor_step(hydro.gov, hydro.params, dw[hydro.idx], hydro.k)
     p_m[hydro.idx] = mach.hydro_turbine_step(hydro.gov, hydro.params, hydro.k,
                                              gate_prev=gate_prev)
     # an assignment: scaling by ``online`` would write -0.0
@@ -742,11 +744,6 @@ def run_ensemble(model: GridModel, scenarios: list[Scenario],
     one factorization and one Python loop per step; each member's
     trajectory is bit for bit the one ``run_scenario`` gives for it.
     """
-    for sc in scenarios:
-        sc.validate_against(model)
-    if len({replace(sc, name="", case="A", seed=0) for sc in scenarios}) > 1:
-        raise ScenarioError("an ensemble's members need the same events, "
-                            "duration and steps")
     if params is None:
         params = SimParams.from_model(model)
     if profiles is None:

@@ -6,12 +6,14 @@ Two prime-mover chains are provided:
   lag, rate- and position-limited hydraulic servomotor, and a cascade of
   first-order turbine stages (steam chest, reheater, crossover) with
   per-stage power fractions, and
-* a hydro unit — PID governor with permanent-droop feedback of gate
-  position (the engine's choice; a generator entry's ``droop_on_power``
-  feeds back electrical power instead), a velocity-mode servomotor (a
-  first-order lag commands the gate velocity, integrated to position),
-  and the nonlinear penstock/turbine model dq/dt = (1 - h)/T_w with
-  h = (q/G)^2 and P_m = A_t h (q - q_nl).
+* a hydro unit — PI governor with permanent-droop feedback of gate
+  position, a velocity-mode servomotor (a first-order lag commands the
+  gate velocity, integrated to position), and the nonlinear
+  penstock/turbine model dq/dt = (1 - h)/T_w with h = (q/G)^2 and
+  P_m = A_t h (q - q_nl).  The droop feeds back gate position, not
+  electrical power: that keeps the non-minimum-phase turbine out of the
+  droop loop, which the reduced-order model needs for a well-damped
+  regulation mode.
 
 All scalar first-order lags are advanced by exact exponential
 discretization, so they are unconditionally stable regardless of the
@@ -133,14 +135,14 @@ def steam_governor_step(s: SteamGovState, params: SteamParams,
 
 
 def steam_turbine_step(s: SteamGovState, params: SteamParams, k: SteamConstants,
-                       valve_prev: float | None = None) -> float:
+                       valve_prev: float) -> float:
     """Advance the turbine stage cascade; returns P_m in machine p.u.
 
     Each stage's held input is the step-average of its driving signal
     (midpoint rule), so the cascade coupling is second-order accurate;
     ``valve_prev`` supplies the valve position at the start of the step.
     """
-    u_v = s.valve if valve_prev is None else 0.5 * (valve_prev + s.valve)
+    u_v = 0.5 * (valve_prev + s.valve)
     p_ch = _lag(s.p_chest, u_v, k.chest)
     p_rh = _lag(s.p_reheat, 0.5 * (s.p_chest + p_ch), k.reheat)
     p_co = _lag(s.p_crossover, 0.5 * (s.p_reheat + p_rh), k.crossover)
@@ -154,14 +156,11 @@ def steam_turbine_step(s: SteamGovState, params: SteamParams, k: SteamConstants,
 
 @dataclass(frozen=True)
 class HydroParams:
-    kp: float = 1.163              # PID proportional gain
-    ki: float = 0.105              # PID integral gain, 1/s
-    kd: float = 0.0                # PID derivative gain, s
-    t_filter: float = 0.01         # derivative filter time constant, s
+    kp: float = 1.163              # PI proportional gain
+    ki: float = 0.105              # PI integral gain, 1/s
     servo_gain: float = 3.33       # K_a
     t_servo: float = 0.07          # T_a, s
-    droop: float = 0.05            # permanent droop R_p
-    droop_on_power: bool = True    # False: feed back gate position instead
+    droop: float = 0.05            # permanent droop R_p, on gate position
     t_water: float = 1.0           # water starting time T_w, s
     q_nl: float = 0.08             # no-load flow, p.u.
     a_t: float | None = None       # turbine gain; default 1/(1 - q_nl)
@@ -174,12 +173,10 @@ class HydroParams:
 @dataclass(slots=True)
 class HydroGovState:
     pid_int: float = 0.0           # integrator state
-    pid_filt: float = 0.0          # filtered-derivative lag state
     servo_vel: float = 0.0         # servomotor output (gate velocity, p.u./s)
     gate: float = 0.0              # gate position G in [0, gate_cap]
     flow: float = 0.0              # water flow q, p.u.
-    power_ref: float = 0.0         # electrical power set-point for droop feedback
-    gate_ref: float = 0.0          # gate position at power_ref
+    gate_ref: float = 0.0          # gate position at the power set-point
     gate_cap: float = 1.0          # operational cap (allocated reserve)
 
 
@@ -189,16 +186,10 @@ class HydroConstants:
 
     dt: float
     servo: float                   # servomotor lag decay exp(-dt/t_servo)
-    has_d: bool                    # kd > 0: the unit has a derivative term
-    any_d: bool                    # some unit has one
-    filt: float | None             # filter lag decay; None without derivative terms
 
 
 def hydro_constants(params: HydroParams, dt: float) -> HydroConstants:
-    has_d = params.kd > 0.0
-    any_d = bool(np.any(has_d))
-    return HydroConstants(dt, lag_decay(params.t_servo, dt), has_d, any_d,
-                          lag_decay(params.t_filter, dt) if any_d else None)
+    return HydroConstants(dt, lag_decay(params.t_servo, dt))
 
 
 def hydro_init(p_set: float, params: HydroParams,
@@ -209,58 +200,45 @@ def hydro_init(p_set: float, params: HydroParams,
         raise ValueError(f"set-point {p_set} outside gate range (gate {gate})")
     p_cap = p_set + reserve
     gate_cap = np.minimum(1.0, p_cap / params.turbine_gain + params.q_nl)
-    return HydroGovState(gate=gate, flow=gate, power_ref=p_set, gate_ref=gate,
-                         gate_cap=gate_cap)
+    return HydroGovState(gate=gate, flow=gate, gate_ref=gate, gate_cap=gate_cap)
 
 
 def hydro_governor_step(s: HydroGovState, params: HydroParams,
-                        delta_omega: float, delta_pe: float,
-                        k: HydroConstants) -> None:
-    """Advance PID governor + servomotor one step.
+                        delta_omega: float, k: HydroConstants) -> None:
+    """Advance PI governor + servomotor one step.
 
-    ``delta_pe`` is the electrical power deviation from the set-point
-    (machine p.u.); it is the droop feedback signal unless
-    ``droop_on_power`` is off, in which case the gate deviation from
-    ``gate_ref`` is used.  The integrator holds (anti-windup) while the
-    gate is pinned at a limit and the error pushes further into it.
+    The droop feedback is the gate deviation from ``gate_ref``, in power
+    units.  The integrator holds (anti-windup) while the gate is pinned
+    at a limit and the error pushes further into it.
     """
     dt = k.dt
     # midpoint gate estimate keeps the feedback consistent with the
     # (midpoint) speed deviation supplied by the caller
     gate_mid = s.gate + 0.5 * s.servo_vel * dt
-    feedback = np.where(params.droop_on_power, params.droop * delta_pe,
-                        params.droop * (gate_mid - s.gate_ref) * params.turbine_gain)
+    feedback = params.droop * (gate_mid - s.gate_ref) * params.turbine_gain
     err = -delta_omega - feedback
 
     at_max = (s.gate >= s.gate_cap - 1e-12) & (err > 0)
     at_min = (s.gate <= GATE_FLOOR) & (err < 0)
     pid_int = np.where(at_max | at_min, s.pid_int, s.pid_int + params.ki * err * dt)
-
-    if k.any_d:
-        filt = np.where(k.has_d, _lag(s.pid_filt, err, k.filt), s.pid_filt)
-        deriv = np.where(k.has_d, params.kd * (err - filt) / params.t_filter, 0.0)
-    else:
-        filt, deriv = s.pid_filt, 0.0
-
-    u = params.kp * err + 0.5 * (s.pid_int + pid_int) + deriv
+    u = params.kp * err + 0.5 * (s.pid_int + pid_int)
     # servomotor: first-order lag commanding gate velocity, then integration
-    # to gate position (the gate itself holds when the PID output is zero)
+    # to gate position (the gate itself holds when the PI output is zero)
     vel = _lag(s.servo_vel, params.servo_gain * u, k.servo)
     # trapezoidal gate integration keeps the position second-order accurate
     s.gate = np.minimum(np.maximum(s.gate + 0.5 * (s.servo_vel + vel) * dt, 0.0),
                         s.gate_cap)
-    s.pid_int, s.pid_filt, s.servo_vel = pid_int, filt, vel
+    s.pid_int, s.servo_vel = pid_int, vel
 
 
 def hydro_turbine_step(s: HydroGovState, params: HydroParams, k: HydroConstants,
-                       gate_prev: float | None = None) -> float:
+                       gate_prev: float) -> float:
     """Advance the penstock flow (RK4, gate held at its step average);
     returns P_m.  ``gate_prev`` is the gate position at the start of the
-    step; omitting it freezes the gate at its current value.
+    step.
     """
     dt = k.dt
-    g_held = s.gate if gate_prev is None else 0.5 * (gate_prev + s.gate)
-    g = np.maximum(g_held, GATE_FLOOR)
+    g = np.maximum(0.5 * (gate_prev + s.gate), GATE_FLOOR)
     tw = params.t_water
 
     # squares are products: a scalar ** 2 goes through libm pow, which can

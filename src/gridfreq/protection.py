@@ -12,21 +12,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-SHED_LEVELS = (0.0, 0.05, 0.15, 0.25, 0.35, 0.45, 0.50)
-
 # (frequency offset below f0, shed fraction); deeper step wins at boundaries
 _SHED_STEPS = ((2.0, 0.50), (1.8, 0.45), (1.6, 0.35),
                (1.4, 0.25), (1.2, 0.15), (1.0, 0.05))
+
+# relays shed only below f0 - _SHED_ONSET, the shallowest step
+_SHED_ONSET = _SHED_STEPS[-1][0]
+
+SHED_LEVELS = (0.0, *sorted(level for _, level in _SHED_STEPS))
 
 # (frequency offset below f0, level restored to)
 _RESTORE_STEPS = ((0.25, 0.0), (0.5, 0.05), (0.75, 0.15))
 
 
 def shed_level_for_frequency(f: float, f0: float) -> float:
-    """Staircase shed fraction for frequencies below f0 - 1.0 Hz.
-
-    At or above f0 - 1.0 Hz restoration logic governs and this map
-    returns 0.  At an exact band boundary the deeper step applies.
+    """Staircase shed fraction at frequency ``f``: the level of the deepest
+    step with ``f <= f0 - offset``, so at an exact band boundary the deeper
+    step applies.  It returns 0.05 at exactly f0 - 1.0 Hz and 0 above it.
+    ``ufls_step`` consults it only strictly below f0 - 1.0 Hz; at and
+    above that, restoration logic governs.
     """
     if f <= 0:
         raise ValueError("frequency must be positive")
@@ -69,7 +73,7 @@ def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     f0 = r.f0
-    if f_meas < f0 - 1.0:
+    if f_meas < f0 - _SHED_ONSET:
         # shedding region: may only deepen (absolute staircase)
         target = max(r.level, shed_level_for_frequency(f_meas, f0))
     elif r.level == 0.0 and r.candidate is None and r.timer == 0.0:

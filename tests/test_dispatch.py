@@ -53,8 +53,8 @@ class TestErrorCdf:
     def test_zero_cdf_samples_zero(self):
         cdf = zero_error_cdf()
         rng = np.random.default_rng(1)
-        assert cdf.sample(rng) == 0.0
-        assert np.all(cdf.sample(rng, 100) == 0.0)
+        xs = cdf.sample(rng, 100)
+        assert xs.shape == (100,) and np.all(xs == 0.0)
 
     def test_inverse_transform_matches_cdf_ks(self):
         """Empirical distribution of samples vs the piecewise-linear CDF

@@ -10,7 +10,7 @@ import pytest
 
 import gridfreq as gf
 from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError,
-                             SimParams, build_profiles, init_system,
+                             SimParams, Trajectory, build_profiles, init_system,
                              load_scenario, run_scenario, step_system)
 from gridfreq.grid import GridConfigError
 from gridfreq.profiles import ProfileError
@@ -176,7 +176,8 @@ class TestInitAndStep:
         """A key the unit's kind does not use stops the run before its
         first step, naming the generator and the key."""
         sc = Scenario(name="x", case="A", duration_s=2)
-        for gen, key in ((0, "kpp"), (1, "t_reheat")):
+        for gen, key in ((0, "kpp"), (1, "t_reheat"), (1, "kd"), (1, "t_filter"),
+                         (1, "droop_on_power")):
             doc = four_bus_doc()
             doc["generators"][gen][key] = 2.0
             model = gf.load_grid_config(doc)
@@ -314,6 +315,43 @@ class TestTrajectory:
         assert lines[0].startswith("time,f_bus1")
         assert len(lines) == 22
 
+    def test_csv_export_across_row_blocks(self, tmp_path):
+        """2,501 rows span three of the export's row blocks: every cell
+        reads back as its channel's value to 10 significant digits, in
+        the header's interleaved column order."""
+        n = 2501
+        rng = np.random.default_rng(4)
+
+        def channel(width, lo, hi):
+            return rng.uniform(lo, hi, (n, width))
+
+        tr = Trajectory(
+            scenario_name="blocks", case="B", seed=0, dt_out=0.1,
+            bus_ids=[1, 2, 3], gen_ids=["G1", "G2"], load_bus_ids=[2, 3],
+            wind_bus_ids=[3], dispatched_bus_ids=[3],
+            times=np.arange(n) * 0.1, bus_freq=channel(3, 58.0, 61.0),
+            gen_p_mech=channel(2, 0.0, 1.0), gen_p_elec=channel(2, 0.0, 1.0),
+            gen_speed_dev=channel(2, -0.01, 0.01), gen_online=np.ones((n, 2)),
+            load_expected_mw=channel(2, 100.0, 500.0),
+            load_served_mw=channel(2, 50.0, 500.0), shed_level=channel(2, 0.0, 0.5),
+            wind_mw=channel(1, 0.0, 200.0), battery_mw=channel(1, -50.0, 50.0))
+        out = tmp_path / "traj.csv"
+        tr.to_csv(out)
+        assert out.read_text().split("\n", 1)[0] == ",".join(
+            ["time", "f_bus1", "f_bus2", "f_bus3",
+             "G1_pm", "G1_pe", "G1_dw", "G2_pm", "G2_pe", "G2_dw",
+             "load2_expected", "load2_served", "load2_shed",
+             "load3_expected", "load3_served", "load3_shed", "wind3", "bat3"])
+        want = np.column_stack(
+            [tr.times, tr.bus_freq]
+            + [a[:, j] for j in range(2)
+               for a in (tr.gen_p_mech, tr.gen_p_elec, tr.gen_speed_dev)]
+            + [a[:, j] for j in range(2)
+               for a in (tr.load_expected_mw, tr.load_served_mw, tr.shed_level)]
+            + [tr.wind_mw, tr.battery_mw])
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(got, np.char.mod("%.10g", want).astype(float))
+
 
 class TestEnsemble:
     def test_members_match_their_solo_runs_bit_for_bit(self, ieee39):
@@ -335,6 +373,22 @@ class TestEnsemble:
                     assert np.array_equal(getattr(tr, name), value), name
                 else:
                     assert getattr(tr, name) == value, name
+
+    def test_init_rejects_members_that_cannot_share_a_step(self, four_bus):
+        """init_system itself checks the members against one schedule and
+        the grid, not only run_ensemble."""
+        p = quick_params(four_bus)
+        for scenarios in ([Scenario(name="a", case="A", duration_s=2.0, dt_s=0.01),
+                           Scenario(name="b", case="B", duration_s=2.0, dt_s=0.02)],
+                          [Scenario(name="a", case="A", duration_s=2.0),
+                           Scenario(name="b", case="B", duration_s=4.0)]):
+            profiles = [build_profiles(four_bus, sc, p) for sc in scenarios]
+            with pytest.raises(ScenarioError, match="same events"):
+                init_system(four_bus, scenarios, p, profiles)
+        sc = Scenario(name="x", case="A", duration_s=2.0,
+                      events=(ContingencyEvent(1.0, "G9"),))
+        with pytest.raises(ScenarioError, match="unknown generator"):
+            init_system(four_bus, [sc], p, [build_profiles(four_bus, sc, p)])
 
     def test_members_need_one_schedule(self, four_bus):
         p = quick_params(four_bus)

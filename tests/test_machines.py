@@ -66,7 +66,7 @@ class TestSteam:
         s, k = steam_init(0.7, params), steam_constants(params, 0.01)
         for _ in range(1000):
             steam_governor_step(s, params, 0.0, k)
-            p_m = steam_turbine_step(s, params, k)
+            p_m = steam_turbine_step(s, params, k, s.valve)
         assert p_m == pytest.approx(0.7, abs=1e-12)
         assert s.valve == pytest.approx(0.7, abs=1e-12)
 
@@ -78,7 +78,7 @@ class TestSteam:
         dw = -0.002
         for _ in range(12000):          # 120 s >> reheater time constant
             steam_governor_step(s, params, dw, k)
-            p_m = steam_turbine_step(s, params, k)
+            p_m = steam_turbine_step(s, params, k, s.valve)
         want = 0.5 - params.gain * dw
         assert s.valve == pytest.approx(want, abs=1e-9)
         assert p_m == pytest.approx(want, rel=1e-6)
@@ -127,7 +127,7 @@ class TestSteam:
         got_p = np.empty(n)
         k = steam_constants(params, dt)
         for j in range(n):
-            got_p[j] = steam_turbine_step(s, params, k)
+            got_p[j] = steam_turbine_step(s, params, k, s.valve)
 
         def rhs(_t, y):
             ch, rh, co = y
@@ -145,7 +145,7 @@ class TestSteam:
         """P_m is the fraction-weighted sum of the advanced stage states."""
         params = SteamParams()
         s = steam_init(0.42, params)
-        p_m = steam_turbine_step(s, params, steam_constants(params, 0.01))
+        p_m = steam_turbine_step(s, params, steam_constants(params, 0.01), s.valve)
         assert (params.f_hp * s.p_chest + params.f_ip * s.p_reheat
                 + params.f_lp * s.p_crossover) == pytest.approx(p_m, rel=1e-14)
 
@@ -165,8 +165,8 @@ class TestHydro:
         params = HydroParams()
         s, k = hydro_init(0.6, params), hydro_constants(params, 0.01)
         for _ in range(2000):
-            hydro_governor_step(s, params, 0.0, 0.0, k)
-            p_m = hydro_turbine_step(s, params, k)
+            hydro_governor_step(s, params, 0.0, k)
+            p_m = hydro_turbine_step(s, params, k, s.gate)
         assert p_m == pytest.approx(0.6, abs=1e-10)
 
     def test_init_gate_solves_power(self):
@@ -182,30 +182,14 @@ class TestHydro:
     def test_gate_droop_steady_state(self):
         """Constant speed deviation -> gate settles where the droop
         feedback cancels it: delta_P = -dw / droop."""
-        params = HydroParams(droop_on_power=False)
+        params = HydroParams()
         s, k = hydro_init(0.5, params, reserve=10.0), hydro_constants(params, 0.01)
         dw = -0.003
         for _ in range(60000):          # 600 s: integral tail is slow
-            hydro_governor_step(s, params, dw, 0.0, k)
-            p_m = hydro_turbine_step(s, params, k)
+            hydro_governor_step(s, params, dw, k)
+            p_m = hydro_turbine_step(s, params, k, s.gate)
         want = 0.5 - dw / params.droop
         assert p_m == pytest.approx(want, rel=1e-4)
-
-    def test_power_droop_steady_state(self):
-        """With droop on electrical power the same equilibrium applies,
-        fed back from delta_pe directly."""
-        params = HydroParams(droop_on_power=True)
-        s, k = hydro_init(0.5, params, reserve=10.0), hydro_constants(params, 0.01)
-        dw = -0.003
-        # at equilibrium the PID error is zero: -dw = droop * delta_pe
-        dpe = -dw / params.droop
-        for _ in range(5000):
-            gate = s.gate
-            hydro_governor_step(s, params, dw, dpe, k)
-            if abs(s.gate - gate) < 1e-14:
-                break
-        # gate velocity must be settling toward zero
-        assert abs(s.servo_vel) < 1e-6
 
     def test_gate_cap_from_reserve(self):
         params = HydroParams()
@@ -214,7 +198,7 @@ class TestHydro:
         assert s.gate_cap == pytest.approx(gate_cap)
         k = hydro_constants(params, 0.01)
         for _ in range(20000):
-            hydro_governor_step(s, params, -0.05, 0.0, k)
+            hydro_governor_step(s, params, -0.05, k)
         assert s.gate <= s.gate_cap + 1e-12
 
     def test_antiwindup_freezes_integrator_at_cap(self):
@@ -223,7 +207,7 @@ class TestHydro:
         k = hydro_constants(params, 0.01)
         pid0 = None
         for _ in range(100):
-            hydro_governor_step(s, params, -0.05, 0.0, k)
+            hydro_governor_step(s, params, -0.05, k)
             if s.gate >= s.gate_cap - 1e-12:
                 if pid0 is None:
                     pid0 = s.pid_int
@@ -236,14 +220,14 @@ class TestHydro:
         params = HydroParams()
         g = 0.7
         s = hydro_init(0.5, params)
-        s = s.__class__(gate=g, flow=s.flow, power_ref=0.5, gate_cap=1.0)
+        s = s.__class__(gate=g, flow=s.flow, gate_cap=1.0)
         dt = 0.01
         horizon = 5.0
         got_t, got_q = [], []
         t = 0.0
         k = hydro_constants(params, dt)
         while t < horizon - 1e-9:
-            hydro_turbine_step(s, params, k)
+            hydro_turbine_step(s, params, k, s.gate)
             t += dt
             got_t.append(t)
             got_q.append(s.flow)
@@ -261,17 +245,16 @@ class TestHydro:
         """Opening the gate first reduces mechanical power (head drop)."""
         params = HydroParams()
         s, k = hydro_init(0.5, params), hydro_constants(params, 0.01)
-        p0 = hydro_turbine_step(s, params, k)
-        s = s.__class__(gate=s.gate + 0.1, flow=s.flow, power_ref=0.5,
-                        gate_cap=1.0)
-        p_after = hydro_turbine_step(s, params, k)
+        p0 = hydro_turbine_step(s, params, k, s.gate)
+        s = s.__class__(gate=s.gate + 0.1, flow=s.flow, gate_cap=1.0)
+        p_after = hydro_turbine_step(s, params, k, s.gate)
         assert p_after < p0
 
     def test_gate_floor_prevents_blowup(self):
         params = HydroParams()
         s = hydro_init(0.3, params)
-        s = s.__class__(gate=0.0, flow=0.05, power_ref=0.3, gate_cap=1.0)
-        p_m = hydro_turbine_step(s, params, hydro_constants(params, 0.01))
+        s = s.__class__(gate=0.0, flow=0.05, gate_cap=1.0)
+        p_m = hydro_turbine_step(s, params, hydro_constants(params, 0.01), s.gate)
         assert math.isfinite(p_m)
         assert s.flow >= 0.0
         assert GATE_FLOOR > 0.0
@@ -280,7 +263,7 @@ class TestHydro:
         params = HydroParams()
         s = hydro_init(0.5, params)
         with pytest.raises(ValueError):
-            hydro_governor_step(s, params, 0.0, 0.0, hydro_constants(params, -0.01))
+            hydro_governor_step(s, params, 0.0, hydro_constants(params, -0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +380,14 @@ def hydro_bank(values, flags):
     gate = np.where(flags(), gate_cap, values(0.0, 1.0) * gate_cap)
     gate = np.where(flags(), 0.0, np.where(flags(), GATE_FLOOR / 2, gate))
     state = HydroGovState(
-        pid_int=values(-0.5, 0.5), pid_filt=values(-0.1, 0.1),
-        servo_vel=values(-0.5, 0.5), gate=gate, flow=values(0.0, 1.2),
-        power_ref=values(0.0, 0.9), gate_ref=values(0.0, 1.0), gate_cap=gate_cap)
+        pid_int=values(-0.5, 0.5), servo_vel=values(-0.5, 0.5), gate=gate,
+        flow=values(0.0, 1.2), gate_ref=values(0.0, 1.0), gate_cap=gate_cap)
     params = HydroParams(
         kp=values(0.0, 3.0), ki=values(0.0, 1.0),
-        kd=np.where(flags(), 0.0, values(0.0, 1.0)), t_filter=values(0.005, 0.1),
         servo_gain=values(0.5, 10.0), t_servo=values(0.02, 0.5),
-        droop=values(0.01, 0.1), droop_on_power=flags(),
-        t_water=values(0.5, 3.0), q_nl=values(0.0, 0.2), a_t=values(0.8, 1.5))
-    return state, params, values(-0.1, 0.1), values(-1.0, 1.0)
+        droop=values(0.01, 0.1), t_water=values(0.5, 3.0),
+        q_nl=values(0.0, 0.2), a_t=values(0.8, 1.5))
+    return state, params, values(-0.1, 0.1)
 
 
 class TestBankEqualsScalarCalls:
@@ -429,33 +410,31 @@ class TestBankEqualsScalarCalls:
         steam_governor_step(s, p, dw, steam_constants(p, dt))
         assert_same_bits(s, [us for us, _, _ in want])
 
-    @given(banks(steam_bank), DT, st.booleans())
-    def test_steam_turbine(self, bank, dt, with_prev):
+    @given(banks(steam_bank), DT)
+    def test_steam_turbine(self, bank, dt):
         s, p, dw = bank
-        prev = s.valve + dw if with_prev else [None] * len(dw)
-        want = [(us, steam_turbine_step(us, up, steam_constants(up, dt), valve_prev=v))
+        prev = s.valve + dw
+        want = [(us, steam_turbine_step(us, up, steam_constants(up, dt), v))
                 for us, up, v in zip(units(s), units(p), prev)]
-        p_m = steam_turbine_step(s, p, steam_constants(p, dt),
-                                 valve_prev=prev if with_prev else None)
+        p_m = steam_turbine_step(s, p, steam_constants(p, dt), prev)
         assert_same_bits((s, p_m), want)
 
     @given(banks(hydro_bank), DT)
     def test_hydro_governor(self, bank, dt):
-        s, p, dw, dpe = bank
-        want = list(zip(units(s), units(p), dw, dpe))
+        s, p, dw = bank
+        want = list(zip(units(s), units(p), dw))
         for unit in want:
             hydro_governor_step(*unit, hydro_constants(unit[1], dt))
-        hydro_governor_step(s, p, dw, dpe, hydro_constants(p, dt))
+        hydro_governor_step(s, p, dw, hydro_constants(p, dt))
         assert_same_bits(s, [us for us, *_ in want])
 
-    @given(banks(hydro_bank), DT, st.booleans())
-    def test_hydro_turbine(self, bank, dt, with_prev):
-        s, p, dw, _ = bank
-        prev = np.maximum(s.gate + dw, 0.0) if with_prev else [None] * len(dw)
-        want = [(us, hydro_turbine_step(us, up, hydro_constants(up, dt), gate_prev=g))
+    @given(banks(hydro_bank), DT)
+    def test_hydro_turbine(self, bank, dt):
+        s, p, dw = bank
+        prev = np.maximum(s.gate + dw, 0.0)
+        want = [(us, hydro_turbine_step(us, up, hydro_constants(up, dt), g))
                 for us, up, g in zip(units(s), units(p), prev)]
-        p_m = hydro_turbine_step(s, p, hydro_constants(p, dt),
-                                 gate_prev=prev if with_prev else None)
+        p_m = hydro_turbine_step(s, p, hydro_constants(p, dt), prev)
         assert_same_bits((s, p_m), want)
 
     @given(banks(lambda values, flags: (values(-50.0, 50.0), values(-50.0, 50.0),
