@@ -28,9 +28,9 @@ EXIT_VALIDATION = 2
 
 
 def _load_model(spec: str) -> grid.GridModel:
-    if spec == "ieee39":
-        return grid.ieee39()
-    return grid.load_grid_config(spec)
+    model = grid.ieee39() if spec == "ieee39" else grid.load_grid_config(spec)
+    engine.SimParams.from_model(model)      # an unknown 'simulation' key fails here
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from . import machines as mach
 from .grid import GridModel, GridConfigError, IslandingError, build_full_susceptance_matrix, solve_dc_flow, build_susceptance_matrix
 from .profiles import (ProfileError, resample_wind, scale_wind, make_load_profile,
                        synthetic_minute_walk, synthetic_second_multiplier)
-from .protection import UflsRelayState, estimate_frequency, ufls_step
+from .protection import FREQ_FILTER_TAU, UflsRelayState, estimate_frequency, ufls_step
 
 logger = logging.getLogger(__name__)
 
@@ -57,8 +57,12 @@ class Scenario:
     def __post_init__(self):
         if self.case not in ("A", "B"):
             raise ScenarioError(f"scenario {self.name}: case must be 'A' or 'B'")
-        if self.duration_s <= 0 or self.dt_s <= 0:
-            raise ScenarioError(f"scenario {self.name}: nonpositive duration or dt")
+        if not (0 < self.duration_s < math.inf and 0 < self.dt_s < math.inf
+                and math.isfinite(self.output_dt_s)):
+            raise ScenarioError(f"scenario {self.name}: non-finite duration_s, dt_s or "
+                                f"output_dt_s, or nonpositive duration_s or dt_s")
+        if self.seed < 0:
+            raise ScenarioError(f"scenario {self.name}: negative seed {self.seed}")
         steps = self.duration_s / self.dt_s
         if abs(steps - self.n_steps) > 1e-9 * steps:
             raise ScenarioError(f"scenario {self.name}: dt_s {self.dt_s} does not "
@@ -69,7 +73,7 @@ class Scenario:
                                 f"is not a whole multiple of dt_s {self.dt_s}")
         for ev in self.events:
             # an event fires before its step, and the last step is n_steps - 1
-            if ev.time_s < 0.0 or self.event_step(ev) >= self.n_steps:
+            if not 0.0 <= ev.time_s < math.inf or self.event_step(ev) >= self.n_steps:
                 raise ScenarioError(
                     f"scenario {self.name}: event at {ev.time_s}s outside horizon")
 
@@ -109,13 +113,17 @@ def load_scenario(source: str | Path | dict) -> Scenario:
             raise ScenarioError(f"cannot parse {source}: {exc}") from exc
     if not isinstance(doc, dict) or "name" not in doc or "case" not in doc:
         raise ScenarioError("scenario document needs at least 'name' and 'case'")
-    events = tuple(ContingencyEvent(time_s=float(e["time_s"]),
-                                    generator=str(e["generator"]))
-                   for e in doc.get("events", []))
-    # keys the document leaves out take the Scenario defaults
-    optional = {key: conv(doc[key]) for key, conv in (
-        ("duration_s", float), ("dt_s", float), ("seed", int), ("output_dt_s", float))
-        if key in doc}
+    try:
+        events = tuple(ContingencyEvent(time_s=float(e["time_s"]),
+                                        generator=str(e["generator"]))
+                       for e in doc.get("events", []))
+        # keys the document leaves out take the Scenario defaults
+        optional = {key: conv(doc[key]) for key, conv in (
+            ("duration_s", float), ("dt_s", float), ("seed", int),
+            ("output_dt_s", float)) if key in doc}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"scenario {doc['name']}: missing key or malformed "
+                            f"value: {exc!r}") from None
     return Scenario(name=str(doc["name"]), case=str(doc["case"]), events=events,
                     **optional)
 
@@ -123,13 +131,12 @@ def load_scenario(source: str | Path | dict) -> Scenario:
 @dataclass(frozen=True)
 class SimParams:
     """Engine defaults; every value can be overridden from the grid config's
-    'simulation' section or per generator."""
+    'simulation' section.  Every unit of a kind takes the same values."""
 
     h_thermal: float = 5.0          # inertia, s on machine base
     h_hydro: float = 3.5
     damping: float = 2.0            # p.u. on machine base (lumped damper
                                     # winding + load relief in a classical model)
-    coupling_x: float = 0.3         # machine coupling reactance, machine p.u.
     reserve_fraction: float = 0.25  # primary reserve, fraction of set-point
     droop: float = 0.05             # permanent speed droop (both unit types)
     load_scale: float = 1.0         # operating point: forecast = load_mw * scale
@@ -139,12 +146,6 @@ class SimParams:
     load_slow_sigma: float = 0.004      # load multiplier minute-walk std
     load_fast_sigma: float = 0.002      # load multiplier per-second std
     ufls_enabled: bool = True
-    ufls_delay: float = 0.15
-    # Restoration is committed only after the local frequency has held
-    # above the threshold this long; practical schemes reconnect load far
-    # more cautiously than they shed it.
-    ufls_restore_delay: float = 10.0
-    freq_filter_tau: float = 0.05
     error_cdf: str = "placeholder"  # 'placeholder' | 'zero' | CSV path
 
     @classmethod
@@ -255,16 +256,19 @@ def _resolve_error_cdf(params: SimParams) -> dispatch_mod.ErrorCdf:
 # system state: flat per-member arrays and per-kind governor banks
 # ---------------------------------------------------------------------------
 
+COUPLING_X = 0.3                    # machine coupling reactance, machine p.u.
+
+
 @dataclass
 class _Bank:
     """The units of one machine kind in every member, fixed for the run:
-    positions in the flat machine arrays, parameters, step constants and
-    governor state, each field an array over those entries or a scalar
-    they share.  A tripped unit's governor keeps stepping; nothing reads
+    positions in the flat machine arrays, the parameters and step
+    constants they share, and governor state, an array over those
+    entries.  A tripped unit's governor keeps stepping; nothing reads
     its output."""
 
     idx: np.ndarray
-    params: object                  # SteamParams | HydroParams
+    params: object                  # SteamParams | HydroParams, scalar fields
     k: object                       # SteamConstants | HydroConstants
     gov: object                     # SteamGovState | HydroGovState
 
@@ -279,7 +283,6 @@ class _Online:
     b_coupling: np.ndarray
     rating: np.ndarray
     two_h: np.ndarray
-    d: np.ndarray
 
 
 @dataclass
@@ -310,7 +313,6 @@ class SystemState:
     gen_bus: np.ndarray             # flat bus position of each machine
     rating: np.ndarray              # MVA
     two_h: np.ndarray               # twice the inertia, s on machine base
-    d: np.ndarray                   # damping, machine p.u.
     b_coupling: np.ndarray          # p.u. on system base
     rotor: np.ndarray               # rows: rotor angle (rad), speed deviation (p.u.)
     p_mech: np.ndarray              # mechanical power, machine p.u. (0 once tripped)
@@ -354,7 +356,7 @@ class SystemState:
         idx = self.online.nonzero()[0]
         self._on = _Online(idx=idx, off=~self.online, bus=self.gen_bus[idx],
                            b_coupling=self.b_coupling[idx], rating=self.rating[idx],
-                           two_h=self.two_h[idx], d=self.d[idx])
+                           two_h=self.two_h[idx])
 
     def injections(self, sec: int) -> _Injections:
         """Net non-machine bus injections of profile second ``sec`` at the
@@ -378,32 +380,6 @@ class SystemState:
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
-
-def _machine_params(gen, params: SimParams):
-    ov = gen.overrides
-    if gen.kind == "thermal":
-        base, h = mach.SteamParams(gain=1.0 / params.droop), params.h_thermal
-    else:
-        base, h = mach.HydroParams(droop=params.droop), params.h_hydro
-    kind_keys = {f.name for f in fields(base)}
-    unused = set(ov) - kind_keys - {"h", "d", "coupling_x"}
-    if unused:
-        raise GridConfigError(f"generator {gen.id}: {gen.kind} units take no "
-                              f"parameters {sorted(unused)}")
-    mp = replace(base, **{k: v for k, v in ov.items() if k in kind_keys})
-    if gen.kind == "hydro":
-        mp = replace(mp, a_t=mp.turbine_gain)
-    h = float(ov.get("h", h))
-    d = float(ov.get("d", params.damping))
-    x = float(ov.get("coupling_x", params.coupling_x))
-    return mp, h, d, x
-
-
-def _stack(cls, units: list):
-    """Array-valued ``cls`` parameters with one element per unit."""
-    return cls(**{f.name: np.array([getattr(u, f.name) for u in units])
-                  for f in fields(cls)})
-
 
 def _per_second(values: list[np.ndarray], n_seconds: int) -> np.ndarray:
     out = np.empty((n_seconds, len(values)))
@@ -459,13 +435,12 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     b_red = build_susceptance_matrix(model)
     theta0 = solve_dc_flow(b_red, inj, model)
 
-    mp, h, d, x = zip(*(_machine_params(g, params) for g in gens))
-    h, d, x = np.array(h), np.array(d), np.array(x)
+    h = np.array([params.h_thermal if g.kind == "thermal" else params.h_hydro for g in gens])
     if np.any(h <= 0):
         raise GridConfigError("inertia constant must be positive")
     rating = np.array([g.rating_mva for g in gens])
     gen_bus = np.array([idx[g.bus] for g in gens], dtype=int)
-    b_coupling = rating / (x * model.base_mva)
+    b_coupling = rating / (COUPLING_X * model.base_mva)
     p_e_sys = loading * rating / model.base_mva
     delta = theta0[gen_bus] + p_e_sys / b_coupling
 
@@ -477,11 +452,12 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     reserve = params.reserve_fraction * loading
     dt = scenarios[0].dt_s
     banks = {}
-    for kind, cls, constants, gov_init in (
-            ("thermal", mach.SteamParams, mach.steam_constants, mach.steam_init),
-            ("hydro", mach.HydroParams, mach.hydro_constants, mach.hydro_init)):
+    for kind, bank_params, constants, gov_init in (
+            ("thermal", mach.SteamParams(gain=1.0 / params.droop),
+             mach.steam_constants, mach.steam_init),
+            ("hydro", mach.HydroParams(droop=params.droop),
+             mach.hydro_constants, mach.hydro_init)):
         units = [j for j, g in enumerate(gens) if g.kind == kind]
-        bank_params = _stack(cls, [mp[j] for _ in range(n_members) for j in units])
         banks[kind] = _Bank(idx=flat(units, len(gens)), params=bank_params,
                             k=constants(bank_params, dt),
                             gov=gov_init(np.full(n_members * len(units), loading),
@@ -503,15 +479,13 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     state = SystemState(
         model=model, params=params, n_members=n_members, dt=dt,
         gen_bus=flat(gen_bus, n), rating=np.tile(rating, n_members),
-        two_h=np.tile(2.0 * h, n_members), d=np.tile(d, n_members),
+        two_h=np.tile(2.0 * h, n_members),
         b_coupling=np.tile(b_coupling, n_members),
         rotor=np.stack((np.tile(delta, n_members), np.zeros(n_members * n_gen))),
         p_mech=np.full(n_members * n_gen, loading),
         p_elec=np.full(n_members * n_gen, loading),
         online=np.ones(n_members * n_gen, dtype=bool), banks=banks,
-        relays=[UflsRelayState(bus=b.id, f0=model.f0, delay=params.ufls_delay,
-                               restore_delay=params.ufls_restore_delay)
-                for _ in profiles for b in model.load_buses],
+        relays=[UflsRelayState(f0=model.f0)] * (n_members * len(model.load_buses)),
         load_bus_idx=flat([idx[b.id] for b in model.load_buses], n),
         load_mw=_per_second([p.load_mw[b.id] for p in profiles
                              for b in model.load_buses], n_seconds),
@@ -573,7 +547,8 @@ def step_system(state: SystemState) -> dict:
     # the average of the old and new mechanical power: every cross-block
     # coupling is second-order accurate in dt
     w = state.rotor[1]
-    dw = w + 0.5 * dt * ((state.p_mech - state.p_elec - state.d * w) / state.two_h)
+    d = state.params.damping
+    dw = w + 0.5 * dt * ((state.p_mech - state.p_elec - d * w) / state.two_h)
     p_m = np.zeros(len(state.online))
     steam, hydro = state.banks["thermal"], state.banks["hydro"]
     valve_prev = steam.gov.valve
@@ -602,7 +577,7 @@ def step_system(state: SystemState) -> dict:
         pe = (b_on * (x[0] - theta_stage[bus_on])) * base / rating
         k = np.empty_like(x)
         np.multiply(ws, x[1], out=k[0])
-        k[1] = (p_m_eff - pe - on.d * x[1]) / on.two_h
+        k[1] = (p_m_eff - pe - d * x[1]) / on.two_h
         return k
 
     k1 = derivs(x0, theta_stage=theta)
@@ -613,8 +588,7 @@ def step_system(state: SystemState) -> dict:
     state.p_mech = p_m
 
     state.est_filt, state.freq = estimate_frequency(
-        theta, state.theta, state.est_filt, dt, state.params.freq_filter_tau,
-        model.f0)
+        theta, state.theta, state.est_filt, dt, FREQ_FILTER_TAU, model.f0)
     state.theta = theta
 
     if state.params.ufls_enabled:

@@ -8,6 +8,7 @@ angles through a nodal susceptance (Laplacian) matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -33,15 +34,14 @@ class GeneratorSpec:
     bus: int
     kind: str               # 'thermal' | 'hydro'
     rating_mva: float
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("thermal", "hydro"):
             raise GridConfigError(
                 f"generator {self.id}: unknown kind {self.kind!r}")
-        if self.rating_mva <= 0:
+        if not 0 < self.rating_mva < math.inf:
             raise GridConfigError(
-                f"generator {self.id}: rating must be positive, got {self.rating_mva}")
+                f"generator {self.id}: rating must be positive and finite: {self.rating_mva}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,10 @@ class BusSpec:
     dispatched: bool = False
 
     def __post_init__(self):
-        if self.wind_mw is not None and self.wind_mw <= 0:
-            raise GridConfigError(f"bus {self.id}: wind rating must be positive")
-        if self.load_mw is not None and self.load_mw <= 0:
-            raise GridConfigError(f"bus {self.id}: load forecast must be positive")
+        if self.wind_mw is not None and not 0 < self.wind_mw < math.inf:
+            raise GridConfigError(f"bus {self.id}: wind rating must be positive and finite")
+        if self.load_mw is not None and not 0 < self.load_mw < math.inf:
+            raise GridConfigError(f"bus {self.id}: load forecast must be positive and finite")
         if self.dispatched and self.wind_mw is None and self.load_mw is None:
             raise GridConfigError(
                 f"bus {self.id}: dispatched flag requires a load or wind farm")
@@ -69,9 +69,9 @@ class LineSpec:
     susceptance: float       # p.u. on system base
 
     def __post_init__(self):
-        if self.susceptance <= 0:
+        if not 0 < self.susceptance < math.inf:
             raise GridConfigError(
-                f"line {self.from_bus}-{self.to_bus}: susceptance must be positive")
+                f"line {self.from_bus}-{self.to_bus}: susceptance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -186,14 +186,45 @@ def solve_dc_flow(b_reduced: sp.spmatrix, injections_mw: np.ndarray,
 
 # -- config loading --------------------------------------------------------
 
+# a unit takes the machine parameters of its kind from the 'simulation' section
+_GENERATOR_KEYS = ("id", "bus", "type", "rating_mva")
+
+
+def _entries(doc: dict, section: str, build) -> list:
+    """``build(entry)`` for each entry of the list ``doc[section]``; an entry
+    that is not a mapping, lacks a key or holds a malformed value is a
+    ``GridConfigError`` naming it by its position ``section[i]``."""
+    out = []
+    try:
+        for entry in doc.get(section) or []:
+            out.append(build(dict(entry)))
+    except GridConfigError:
+        raise
+    except KeyError as exc:
+        raise GridConfigError(f"{section}[{len(out)}]: missing required key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise GridConfigError(f"{section}[{len(out)}]: {exc}") from None
+    return out
+
+
+def _generator_from_entry(entry: dict) -> GeneratorSpec:
+    gid = str(entry["id"])
+    unknown = sorted(set(entry) - set(_GENERATOR_KEYS))
+    if unknown:
+        raise GridConfigError(f"generator {gid}: unknown keys {unknown}; an entry "
+                              f"takes only {', '.join(_GENERATOR_KEYS)}")
+    return GeneratorSpec(id=gid, bus=int(entry["bus"]), kind=str(entry["type"]),
+                         rating_mva=float(entry["rating_mva"]))
+
+
 def _line_from_entry(entry: dict) -> LineSpec:
     if "b" in entry:
         b = float(entry["b"])
     elif "x" in entry:
         x = float(entry["x"])
-        if x <= 0:
-            raise GridConfigError(
-                f"line {entry.get('from')}-{entry.get('to')}: reactance must be positive")
+        if not 0 < x < math.inf:
+            raise GridConfigError(f"line {entry.get('from')}-{entry.get('to')}: "
+                                  f"reactance must be positive and finite")
         b = 1.0 / x
     else:
         raise GridConfigError(
@@ -219,34 +250,26 @@ def load_grid_config(source: str | Path | dict) -> GridModel:
             raise GridConfigError(f"grid config missing required section {key!r}")
 
     gens_by_bus: dict[int, GeneratorSpec] = {}
-    for g in doc.get("generators", []):
-        spec = GeneratorSpec(
-            id=str(g["id"]), bus=int(g["bus"]), kind=str(g["type"]),
-            rating_mva=float(g["rating_mva"]),
-            overrides={k: v for k, v in g.items()
-                       if k not in ("id", "bus", "type", "rating_mva")})
+    for spec in _entries(doc, "generators", _generator_from_entry):
         if spec.bus in gens_by_bus:
             raise GridConfigError(f"bus {spec.bus} has more than one generator")
         gens_by_bus[spec.bus] = spec
 
-    buses = []
-    for b in doc["buses"]:
+    def bus_from_entry(b: dict) -> BusSpec:
         bid = int(b["id"])
-        buses.append(BusSpec(
-            id=bid,
-            generator=gens_by_bus.pop(bid, None),
-            wind_mw=float(b["wind_mw"]) if "wind_mw" in b else None,
-            load_mw=float(b["load_mw"]) if "load_mw" in b else None,
-            dispatched=bool(b.get("dispatched", False)),
-        ))
+        return BusSpec(id=bid, generator=gens_by_bus.pop(bid, None),
+                       wind_mw=float(b["wind_mw"]) if "wind_mw" in b else None,
+                       load_mw=float(b["load_mw"]) if "load_mw" in b else None,
+                       dispatched=bool(b.get("dispatched", False)))
+
+    buses = _entries(doc, "buses", bus_from_entry)
     if gens_by_bus:
         orphans = ", ".join(f"{g.id}@bus{g.bus}" for g in gens_by_bus.values())
         raise GridConfigError(f"generators placed on nonexistent buses: {orphans}")
 
-    lines = tuple(_line_from_entry(e) for e in doc["lines"])
     return GridModel(
         buses=tuple(buses),
-        lines=lines,
+        lines=tuple(_entries(doc, "lines", _line_from_entry)),
         base_mva=float(doc.get("base_mva", 100.0)),
         f0=float(doc.get("f0", 60.0)),
         slack_bus=int(doc.get("slack_bus", 31)),

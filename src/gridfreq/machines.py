@@ -163,11 +163,11 @@ class HydroParams:
     droop: float = 0.05            # permanent droop R_p, on gate position
     t_water: float = 1.0           # water starting time T_w, s
     q_nl: float = 0.08             # no-load flow, p.u.
-    a_t: float | None = None       # turbine gain; default 1/(1 - q_nl)
 
     @property
     def turbine_gain(self) -> float:
-        return self.a_t if self.a_t is not None else 1.0 / (1.0 - self.q_nl)
+        """Turbine gain A_t: 1 p.u. power at full gate, unit flow and head."""
+        return 1.0 / (1.0 - self.q_nl)
 
 
 @dataclass(slots=True)

@@ -1,10 +1,10 @@
 """Under-frequency load-shedding relays and the PMU-like frequency estimator.
 
 The shedding staircase follows the ENTSO-E recommendation: six absolute
-shed steps between f0 - 1.0 Hz and f0 - 2.0 Hz, three restoration
-thresholds, and a 0.15 s pickup delay applied to every level change.
-Shed levels are absolute fractions of the expected bus load, not
-additive increments.
+shed steps between f0 - 1.0 Hz and f0 - 2.0 Hz and three restoration
+thresholds.  A deeper level is committed after a 0.15 s pickup delay, a
+restored one after 10 s.  Shed levels are absolute fractions of the
+expected bus load, not additive increments.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ SHED_LEVELS = (0.0, *sorted(level for _, level in _SHED_STEPS))
 
 # (frequency offset below f0, level restored to)
 _RESTORE_STEPS = ((0.25, 0.0), (0.5, 0.05), (0.75, 0.15))
+
+FREQ_FILTER_TAU = 0.05      # estimator low-pass time constant, s
 
 
 def shed_level_for_frequency(f: float, f0: float) -> float:
@@ -52,13 +54,12 @@ def restoration_level_for_frequency(f: float, f0: float) -> float | None:
 
 @dataclass(frozen=True, slots=True)
 class UflsRelayState:
-    bus: int
     f0: float = 60.0
     level: float = 0.0          # committed shed fraction
     candidate: float | None = None
     timer: float = 0.0          # accumulated time the candidate has persisted
     delay: float = 0.15         # shed pickup delay, s
-    restore_delay: float = 0.15  # restoration pickup delay, s
+    restore_delay: float = 10.0  # restoration pickup delay, s: reconnection is cautious
 
 
 def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
@@ -89,14 +90,14 @@ def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
     if target == r.level:
         if r.candidate is None and r.timer == 0.0:
             return r
-        return UflsRelayState(r.bus, f0, r.level, None, 0.0, r.delay, r.restore_delay)
+        return UflsRelayState(f0, r.level, None, 0.0, r.delay, r.restore_delay)
     if target != r.candidate:
-        return UflsRelayState(r.bus, f0, r.level, target, dt, r.delay, r.restore_delay)
+        return UflsRelayState(f0, r.level, target, dt, r.delay, r.restore_delay)
     timer = r.timer + dt
     delay = r.delay if target > r.level else r.restore_delay
     if timer >= delay - 1e-12:
-        return UflsRelayState(r.bus, f0, target, None, 0.0, r.delay, r.restore_delay)
-    return UflsRelayState(r.bus, f0, r.level, target, timer, r.delay, r.restore_delay)
+        return UflsRelayState(f0, target, None, 0.0, r.delay, r.restore_delay)
+    return UflsRelayState(f0, r.level, target, timer, r.delay, r.restore_delay)
 
 
 def estimate_frequency(theta, prev_theta, filt, dt: float, tau: float,

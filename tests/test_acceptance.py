@@ -110,7 +110,7 @@ class TestRelayExactness:
             # random-walk frequency covering all staircase bands
             f = 60.0 + np.cumsum(rng.normal(0.0, 0.15, size=n))
             f = np.clip(f, 57.5, 61.0)
-            relay = UflsRelayState(bus=1, f0=60.0)
+            relay = UflsRelayState(f0=60.0, restore_delay=0.15)
             want = _reference_relay_trace(f, dt, relay.delay,
                                           relay.restore_delay)
             for k, fk in enumerate(f):
@@ -134,7 +134,7 @@ class TestRelayExactness:
             f = 60.0 + float(rng.uniform(-2.5, 1.0)) + np.cumsum(
                 rng.normal(0.0, 0.1, size=n))
             f = np.clip(f, 57.5, 61.0)
-            relay = UflsRelayState(bus=1, f0=60.0, level=level, candidate=cand, timer=timer,
+            relay = UflsRelayState(f0=60.0, level=level, candidate=cand, timer=timer,
                                    restore_delay=float(rng.uniform(0.1, 0.5)))
             want = _reference_relay_trace(f, dt, relay.delay, relay.restore_delay,
                                           start=(level, cand, timer))

@@ -47,6 +47,42 @@ class TestValidate:
         assert main(["validate", "--grid", str(p)]) == EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
+    def test_machine_parameter_on_generator_exits_2(self, tmp_path, capsys):
+        """A bundled-grid copy with a governor gain on hydro unit G2 fails
+        validation, as it fails a run, with the validation exit code."""
+        from importlib.resources import files
+        doc = yaml.safe_load(files("gridfreq.data").joinpath("ieee39.yaml").read_text())
+        next(g for g in doc["generators"] if g["id"] == "G2")["kd"] = 0.5
+        p = tmp_path / "grid.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["validate", "--grid", str(p)]) == EXIT_VALIDATION
+        assert "G2" in capsys.readouterr().err
+
+    def test_removed_simulation_key_exits_2(self, tmp_path, capsys):
+        doc = four_bus_doc()
+        doc["simulation"] = {"coupling_x": 0.3}
+        p = tmp_path / "grid.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["validate", "--grid", str(p)]) == EXIT_VALIDATION
+        assert "coupling_x" in capsys.readouterr().err
+
+    def test_generator_without_rating_exits_2(self, tmp_path, capsys):
+        doc = four_bus_doc()
+        del doc["generators"][1]["rating_mva"]
+        p = tmp_path / "grid.yaml"
+        p.write_text(yaml.safe_dump(doc))
+        assert main(["validate", "--grid", str(p)]) == EXIT_VALIDATION
+        assert "rating_mva" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, grid_file, scenario_file, capsys):
+        assert main(["validate", "--grid", str(grid_file),
+                     "--scenario", str(scenario_file)]) == EXIT_OK
+        doc = yaml.safe_load(scenario_file.read_text())
+        scenario_file.write_text(yaml.safe_dump(dict(doc, seed=-1)))
+        assert main(["validate", "--grid", str(grid_file),
+                     "--scenario", str(scenario_file)]) == EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
+
     def test_bad_scenario_exits_2(self, grid_file, tmp_path, capsys):
         p = tmp_path / "sc.yaml"
         p.write_text(yaml.safe_dump({"name": "x", "case": "A", "events": [

@@ -5,6 +5,8 @@ the bundled 39-bus case cover integration-level invariants (power
 bookkeeping, seed pairing, contingency handling).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,39 @@ class TestScenario:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ScenarioError):
             Scenario(name="x", case="A", duration_s=0.0)
+
+    @pytest.mark.parametrize("key", ["duration_s", "dt_s", "output_dt_s"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_step_or_horizon_rejected(self, key, value):
+        with pytest.raises(ScenarioError, match="non-finite"):
+            Scenario(name="x", case="A", **{key: value})
+        with pytest.raises(ScenarioError, match="non-finite"):
+            load_scenario({"name": "x", "case": "A", key: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_event_time_rejected(self, value):
+        with pytest.raises(ScenarioError, match="outside horizon"):
+            load_scenario({"name": "x", "case": "A",
+                           "events": [{"time_s": value, "generator": "G1"}]})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="seed"):
+            Scenario(name="x", case="A", seed=-1)
+        with pytest.raises(ScenarioError, match="seed"):
+            load_scenario({"name": "x", "case": "A", "seed": -1})
+
+    @pytest.mark.parametrize("event, key", [({"generator": "G1"}, "time_s"),
+                                            ({"time_s": 1.0}, "generator")])
+    def test_event_missing_key_rejected(self, event, key):
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario({"name": "x", "case": "A", "duration_s": 10.0,
+                           "events": [event]})
+
+    @pytest.mark.parametrize("doc", [{"duration_s": "long"}, {"seed": math.inf},
+                                     {"events": [[1.0, "G1"]]}])
+    def test_malformed_value_rejected(self, doc):
+        with pytest.raises(ScenarioError):
+            load_scenario({"name": "x", "case": "A", **doc})
 
     def test_dt_must_divide_duration(self):
         with pytest.raises(ScenarioError, match="does not divide"):
@@ -173,17 +208,18 @@ class TestInitAndStep:
         assert st.max_residual < 1e-9
 
     def test_generator_key_of_other_kind_rejected(self):
-        """A key the unit's kind does not use stops the run before its
-        first step, naming the generator and the key."""
-        sc = Scenario(name="x", case="A", duration_s=2)
+        """A generator entry takes id, bus, type and rating_mva only; any
+        other key, machine parameters included, stops the grid at load,
+        naming the generator and the key."""
         for gen, key in ((0, "kpp"), (1, "t_reheat"), (1, "kd"), (1, "t_filter"),
-                         (1, "droop_on_power")):
+                         (1, "droop_on_power"), (0, "h"), (1, "d"),
+                         (0, "coupling_x"), (1, "kp"), (0, "t_reheat"),
+                         (1, "a_t")):
             doc = four_bus_doc()
             doc["generators"][gen][key] = 2.0
-            model = gf.load_grid_config(doc)
             name = doc["generators"][gen]["id"]
             with pytest.raises(GridConfigError, match=f"{name}.*{key}"):
-                run_scenario(model, sc, params=quick_params(model))
+                gf.load_grid_config(doc)
 
     def test_wind_exceeding_load_rejected(self, four_bus):
         p = quick_params(four_bus, wind_schedule_pu=1.0, load_scale=0.01)
@@ -235,7 +271,7 @@ class TestInitAndStep:
             np.testing.assert_array_equal(st._on.idx, on)
             np.testing.assert_array_equal(st._on.off, ~st.online)
             for view, full in (("bus", "gen_bus"), ("b_coupling", "b_coupling"),
-                               ("rating", "rating"), ("two_h", "two_h"), ("d", "d")):
+                               ("rating", "rating"), ("two_h", "two_h")):
                 np.testing.assert_array_equal(getattr(st._on, view),
                                               getattr(st, full)[on])
         assert not st.online[[3, 5]].any()

@@ -4,6 +4,9 @@ The sparse DC solve is checked against an independent dense
 numpy.linalg.solve oracle and against Kirchhoff balance at every bus.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,48 @@ class TestConfigValidation:
     def test_unknown_generator_kind_rejected(self):
         doc = two_bus_doc(kind="nuclear")
         with pytest.raises(GridConfigError, match="unknown kind"):
+            load_grid_config(doc)
+
+    @pytest.mark.parametrize("section, key", [
+        ("generators", "id"), ("generators", "bus"), ("generators", "type"),
+        ("generators", "rating_mva"), ("buses", "id"), ("lines", "from"),
+        ("lines", "to")])
+    def test_entry_missing_required_key_rejected(self, section, key):
+        doc = two_bus_doc()
+        del doc[section][-1][key]
+        where = f"{section}[{len(doc[section]) - 1}]"
+        with pytest.raises(GridConfigError,
+                           match=rf"{re.escape(where)}: missing required key '{key}'"):
+            load_grid_config(doc)
+
+    @pytest.mark.parametrize("section, entry", [
+        ("generators", {"id": "G2", "bus": 2, "type": "hydro", "rating_mva": "big"}),
+        ("buses", {"id": 3, "load_mw": [1.0]}),
+        ("lines", ["1", "2", 0.1]),
+        ("buses", None)])
+    def test_malformed_entry_rejected(self, section, entry):
+        doc = two_bus_doc()
+        doc[section].append(entry)
+        where = f"{section}[{len(doc[section]) - 1}]"
+        with pytest.raises(GridConfigError, match=re.escape(where)):
+            load_grid_config(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("section, key", [("generators", "rating_mva"),
+                                              ("buses", "load_mw"),
+                                              ("lines", "x"), ("lines", "b")])
+    def test_nonfinite_value_rejected(self, section, key, value):
+        doc = two_bus_doc()
+        entry = doc[section][-1]
+        entry.pop("x", None)
+        entry[key] = value
+        with pytest.raises(GridConfigError, match="positive and finite"):
+            load_grid_config(doc)
+
+    def test_non_list_section_rejected(self):
+        doc = two_bus_doc()
+        doc["generators"] = 3
+        with pytest.raises(GridConfigError, match=r"generators\[0\]"):
             load_grid_config(doc)
 
     def test_wind_total_checksum(self):

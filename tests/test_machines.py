@@ -306,7 +306,7 @@ class TestSwing:
 
     def test_rejects_nonpositive_inertia(self):
         doc = two_bus_doc()
-        doc["generators"][0]["h"] = 0.0
+        doc["simulation"] = {"h_thermal": 0.0}
         with pytest.raises(GridConfigError, match="inertia"):
             run_scenario(gf.load_grid_config(doc),
                          Scenario(name="x", case="A", duration_s=1.0))
@@ -386,7 +386,7 @@ def hydro_bank(values, flags):
         kp=values(0.0, 3.0), ki=values(0.0, 1.0),
         servo_gain=values(0.5, 10.0), t_servo=values(0.02, 0.5),
         droop=values(0.01, 0.1), t_water=values(0.5, 3.0),
-        q_nl=values(0.0, 0.2), a_t=values(0.8, 1.5))
+        q_nl=values(0.0, 0.2))
     return state, params, values(-0.1, 0.1)
 
 

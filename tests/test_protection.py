@@ -64,7 +64,7 @@ def drive(relay, samples, dt=0.01):
 
 class TestRelay:
     def test_shed_commits_after_delay(self):
-        r = UflsRelayState(bus=1, f0=F0)
+        r = UflsRelayState(f0=F0)
         # 0.15 s delay = 15 samples at 10 ms of accumulated persistence
         r_almost = drive(r, [58.9] * 14)
         assert r_almost.level == 0.0
@@ -72,19 +72,19 @@ class TestRelay:
         assert r_done.level == 0.05
 
     def test_subdelay_excursion_ignored(self):
-        r = UflsRelayState(bus=1, f0=F0)
+        r = UflsRelayState(f0=F0)
         samples = [58.9] * 10 + [59.2] * 5 + [58.9] * 10
         assert drive(r, samples).level == 0.0
 
     def test_deeper_candidate_resets_timer(self):
-        r = UflsRelayState(bus=1, f0=F0)
+        r = UflsRelayState(f0=F0)
         samples = [58.9] * 10 + [58.7] * 10
         r2 = drive(r, samples)
         assert r2.level == 0.0          # neither candidate persisted 0.15 s
         assert drive(r2, [58.7] * 6).level == 0.15
 
     def test_absolute_staircase_not_additive(self):
-        r = UflsRelayState(bus=1, f0=F0)
+        r = UflsRelayState(f0=F0)
         r = drive(r, [58.7] * 16)
         assert r.level == 0.15
         # falling further to the same band keeps the level
@@ -92,7 +92,7 @@ class TestRelay:
         assert r.level == 0.15
 
     def test_level_never_decreases_in_shed_region(self):
-        r = UflsRelayState(bus=1, f0=F0)
+        r = UflsRelayState(f0=F0)
         r = drive(r, [58.5] * 16)
         assert r.level == 0.25
         # returning to a shallower shed band must not unshed
@@ -100,7 +100,7 @@ class TestRelay:
         assert r.level == 0.25
 
     def test_restoration_path(self):
-        r = UflsRelayState(bus=1, f0=F0)
+        r = UflsRelayState(f0=F0, restore_delay=0.15)
         r = drive(r, [58.7] * 16)       # 15%
         r = drive(r, [59.6] * 16)       # >= f0-0.5: restore to 5%
         assert r.level == 0.05
@@ -108,14 +108,14 @@ class TestRelay:
         assert r.level == 0.0
 
     def test_dead_band_holds_level(self):
-        r = UflsRelayState(bus=1, f0=F0)
+        r = UflsRelayState(f0=F0)
         r = drive(r, [58.9] * 16)
         assert r.level == 0.05
         r = drive(r, [59.1] * 10000)    # above shed, below restore
         assert r.level == 0.05
 
     def test_separate_restore_delay(self):
-        r = UflsRelayState(bus=1, f0=F0, restore_delay=1.0)
+        r = UflsRelayState(f0=F0, restore_delay=1.0)
         r = drive(r, [58.9] * 16)
         assert r.level == 0.05
         r = drive(r, [59.9] * 99)       # 0.99 s above threshold: not yet
@@ -124,7 +124,7 @@ class TestRelay:
         assert r.level == 0.0
 
     def test_restore_timer_resets_on_dip(self):
-        r = UflsRelayState(bus=1, f0=F0, restore_delay=1.0)
+        r = UflsRelayState(f0=F0, restore_delay=1.0)
         r = drive(r, [58.9] * 16)
         samples = ([59.9] * 90 + [59.6] * 1) * 5    # dips reset the hold
         r = drive(r, samples)
@@ -132,18 +132,18 @@ class TestRelay:
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            ufls_step(UflsRelayState(bus=1), 59.0, 0.0)
+            ufls_step(UflsRelayState(), 59.0, 0.0)
 
     @given(st.floats(min_value=F0 - 1.0, allow_nan=False))
     @example(F0 - 1.0)
     def test_idle_relay_returns_itself(self, f):
         """Nothing shed or pending and f >= f0 - 1: the step returns its
         input, so idle relays build no new state."""
-        r = UflsRelayState(bus=1, f0=F0)
+        r = UflsRelayState(f0=F0)
         assert ufls_step(r, f, 0.01) is r
 
     def test_relay_leaves_idle_just_below_first_stage(self):
-        r = UflsRelayState(bus=1, f0=F0)
+        r = UflsRelayState(f0=F0)
         r2 = ufls_step(r, math.nextafter(F0 - 1.0, 0.0), 0.01)
         assert (r2.level, r2.candidate, r2.timer) == (0.0, 0.05, 0.01)
 
@@ -153,7 +153,7 @@ class TestRelay:
         for _ in range(200):
             dt = 0.01
             delay, restore_delay = 0.15, float(rng.uniform(0.1, 0.5))
-            r = UflsRelayState(bus=1, f0=F0, delay=delay,
+            r = UflsRelayState(f0=F0, delay=delay,
                                restore_delay=restore_delay)
             level, cand, timer = 0.0, None, 0.0
             f = F0
