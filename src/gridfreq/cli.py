@@ -18,19 +18,37 @@ import os
 import sys
 from pathlib import Path
 
-import yaml
-
-from . import engine, grid, metrics, profiles
+from . import engine, grid, metrics, profiles, schema
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_VALIDATION = 2
 
 
-def _load_model(spec: str) -> grid.GridModel:
-    model = grid.ieee39() if spec == "ieee39" else grid.load_grid_config(spec)
-    engine.SimParams.from_model(model)      # an unknown 'simulation' key fails here
-    return model
+def _load_inputs(grid_spec: str, scenario_paths: list[str], seed: int | None = None):
+    """The grid model and the scenarios, after every check that a run makes
+    before its first step; raises ``GridConfigError`` or ``ScenarioError``."""
+    model = grid.ieee39() if grid_spec == "ieee39" else grid.load_grid_config(grid_spec)
+    params = engine.SimParams.from_model(model)
+    engine._resolve_error_cdf(params)
+    engine.operating_point(model, params)
+    scenarios = []
+    for p in scenario_paths:
+        try:
+            sc = engine.load_scenario(p)
+            if seed is not None:
+                sc = dataclasses.replace(sc, seed=seed)
+            sc.validate_against(model)
+        except engine.ScenarioError as exc:
+            raise engine.ScenarioError(f"{p}: {exc}") from None
+        scenarios.append(sc)
+    # each scenario writes into the directory of its name
+    names = [sc.name for sc in scenarios]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise engine.ScenarioError(f"scenario.name: scenario names must be unique: "
+                                   f"{', '.join(repeated)}")
+    return model, scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -45,61 +63,45 @@ def _run_one(args):
     return scenario.name, m
 
 
-def cmd_run(args) -> int:
+def _run_inputs(args) -> dict:
+    """The flags given, then the manifest's keys, each checked as a manifest."""
+    flags = {"grid": args.grid, "scenarios": args.scenario, "output_dir": args.out,
+             "jobs": args.jobs, "seed": args.seed}
+    run = schema.check(schema.MANIFEST, {k: v for k, v in flags.items() if v is not None},
+                       "arguments", engine.ScenarioError)
     if args.manifest:
-        given = [flag for flag, v in (("--grid", args.grid),
-                                      ("--scenario", args.scenario),
+        given = [flag for flag, v in (("--grid", args.grid), ("--scenario", args.scenario),
                                       ("--seed", args.seed)) if v is not None]
         if given:
-            print(f"error: {' and '.join(given)} cannot be combined with "
-                  f"--manifest; set it in the manifest", file=sys.stderr)
-            return EXIT_VALIDATION
-        doc = yaml.safe_load(Path(args.manifest).read_text())
-        grid_spec = doc.get("grid", "ieee39")
-        scenario_paths = doc.get("scenarios", [])
-        outdir = Path(doc.get("output_dir", args.out))
-        jobs = int(doc.get("jobs", args.jobs))
-        seed = doc.get("seed")
-        base = Path(args.manifest).parent
-        scenario_paths = [str((base / p)) if not os.path.isabs(p) else p
-                          for p in scenario_paths]
-    else:
-        grid_spec = args.grid or "ieee39"
-        scenario_paths = args.scenario or []
-        outdir = Path(args.out)
-        jobs = args.jobs
-        seed = args.seed
+            raise engine.ScenarioError(f"{' and '.join(given)} cannot be combined with "
+                                       f"--manifest; set it in the manifest")
+        doc = schema.check(schema.MANIFEST, schema.read_yaml(
+            args.manifest, "manifest", engine.ScenarioError), "manifest",
+            engine.ScenarioError)
+        # scenario paths are relative to the manifest
+        doc["scenarios"] = [str(Path(args.manifest).parent / p)
+                            for p in doc.get("scenarios", [])]
+        run.update(doc)
+    return run
 
-    if not scenario_paths:
-        print("error: no scenarios given", file=sys.stderr)
-        return EXIT_VALIDATION
-    if jobs < 1:
-        print(f"error: jobs must be at least 1, got {jobs}", file=sys.stderr)
-        return EXIT_VALIDATION
+
+def cmd_run(args) -> int:
     try:
-        model = _load_model(grid_spec)
-        scenarios = []
-        for p in scenario_paths:
-            sc = engine.load_scenario(p)
-            if seed is not None:
-                sc = dataclasses.replace(sc, seed=int(seed))
-            sc.validate_against(model)
-            scenarios.append(sc)
-    except (grid.GridConfigError, engine.ScenarioError, OSError) as exc:
+        run = _run_inputs(args)
+        if not run.get("scenarios"):
+            raise engine.ScenarioError("no scenarios given (manifest.scenarios or "
+                                       "--scenario)")
+        model, scenarios = _load_inputs(run.get("grid", "ieee39"), run["scenarios"],
+                                        run.get("seed"))
+    except (grid.GridConfigError, engine.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    # each scenario writes into the directory of its name
-    names = [sc.name for sc in scenarios]
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if repeated:
-        print(f"error: scenario names must be unique: {', '.join(repeated)}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
 
+    outdir = Path(run["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     work = [(model, sc, outdir / sc.name) for sc in scenarios]
     # a pool starts all its workers at once: no more than there is work for
-    workers = min(jobs, len(work))
+    workers = min(run["jobs"], len(work))
     results = {}
     try:
         if workers > 1:
@@ -170,17 +172,15 @@ def cmd_compare(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        model = _load_model(args.grid)
-        print(f"grid ok: {len(model.buses)} buses, {len(model.lines)} lines, "
-              f"{len(model.generators)} generators")
-        for p in args.scenario or []:
-            sc = engine.load_scenario(p)
-            sc.validate_against(model)
-            print(f"scenario ok: {sc.name} (case {sc.case}, "
-                  f"{len(sc.events)} events, {sc.duration_s:.0f}s)")
-    except (grid.GridConfigError, engine.ScenarioError, OSError) as exc:
+        model, scenarios = _load_inputs(args.grid, args.scenario or [])
+    except (grid.GridConfigError, engine.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    print(f"grid ok: {len(model.buses)} buses, {len(model.lines)} lines, "
+          f"{len(model.generators)} generators")
+    for sc in scenarios:
+        print(f"scenario ok: {sc.name} (case {sc.case}, "
+              f"{len(sc.events)} events, {sc.duration_s:.0f}s)")
     return EXIT_OK
 
 

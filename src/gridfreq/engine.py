@@ -16,13 +16,12 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-import yaml
 
 from . import dispatch as dispatch_mod
 from . import machines as mach
@@ -30,12 +29,9 @@ from .grid import GridModel, GridConfigError, IslandingError, build_full_suscept
 from .profiles import (ProfileError, resample_wind, scale_wind, make_load_profile,
                        synthetic_minute_walk, synthetic_second_multiplier)
 from .protection import FREQ_FILTER_TAU, UflsRelayState, estimate_frequency, ufls_step
+from .schema import SCENARIO, SIMULATION, ScenarioError, check, read_yaml
 
 logger = logging.getLogger(__name__)
-
-
-class ScenarioError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -55,27 +51,21 @@ class Scenario:
     output_dt_s: float = 0.1
 
     def __post_init__(self):
-        if self.case not in ("A", "B"):
-            raise ScenarioError(f"scenario {self.name}: case must be 'A' or 'B'")
-        if not (0 < self.duration_s < math.inf and 0 < self.dt_s < math.inf
-                and math.isfinite(self.output_dt_s)):
-            raise ScenarioError(f"scenario {self.name}: non-finite duration_s, dt_s or "
-                                f"output_dt_s, or nonpositive duration_s or dt_s")
-        if self.seed < 0:
-            raise ScenarioError(f"scenario {self.name}: negative seed {self.seed}")
+        check(SCENARIO, {**vars(self), "events": [vars(ev) for ev in self.events]},
+              "scenario", ScenarioError)
         steps = self.duration_s / self.dt_s
         if abs(steps - self.n_steps) > 1e-9 * steps:
-            raise ScenarioError(f"scenario {self.name}: dt_s {self.dt_s} does not "
-                                f"divide duration_s {self.duration_s}")
+            raise ScenarioError(f"scenario.dt_s: {self.dt_s} does not divide "
+                                f"duration_s {self.duration_s}")
         dec = self.output_dt_s / self.dt_s
         if self.steps_per_record < 1 or abs(dec - self.steps_per_record) > 1e-9 * dec:
-            raise ScenarioError(f"scenario {self.name}: output_dt_s {self.output_dt_s} "
-                                f"is not a whole multiple of dt_s {self.dt_s}")
-        for ev in self.events:
+            raise ScenarioError(f"scenario.output_dt_s: {self.output_dt_s} is not a "
+                                f"whole multiple of dt_s {self.dt_s}")
+        for i, ev in enumerate(self.events):
             # an event fires before its step, and the last step is n_steps - 1
-            if not 0.0 <= ev.time_s < math.inf or self.event_step(ev) >= self.n_steps:
-                raise ScenarioError(
-                    f"scenario {self.name}: event at {ev.time_s}s outside horizon")
+            if self.event_step(ev) >= self.n_steps:
+                raise ScenarioError(f"scenario.events[{i}].time_s: {ev.time_s} s is "
+                                    f"outside horizon {self.duration_s} s")
 
     @property
     def n_steps(self) -> int:
@@ -97,35 +87,20 @@ class Scenario:
 
     def validate_against(self, model: GridModel) -> None:
         gen_ids = {g.id for g in model.generators}
-        for ev in self.events:
+        for i, ev in enumerate(self.events):
             if ev.generator not in gen_ids:
-                raise ScenarioError(
-                    f"scenario {self.name}: unknown generator {ev.generator}")
+                raise ScenarioError(f"scenario.events[{i}].generator: unknown "
+                                    f"generator {ev.generator}")
+        if gen_ids <= {ev.generator for ev in self.events}:
+            raise ScenarioError("scenario.events: the schedule trips every generator")
 
 
 def load_scenario(source: str | Path | dict) -> Scenario:
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = yaml.safe_load(Path(source).read_text())
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"cannot parse {source}: {exc}") from exc
-    if not isinstance(doc, dict) or "name" not in doc or "case" not in doc:
-        raise ScenarioError("scenario document needs at least 'name' and 'case'")
-    try:
-        events = tuple(ContingencyEvent(time_s=float(e["time_s"]),
-                                        generator=str(e["generator"]))
-                       for e in doc.get("events", []))
-        # keys the document leaves out take the Scenario defaults
-        optional = {key: conv(doc[key]) for key, conv in (
-            ("duration_s", float), ("dt_s", float), ("seed", int),
-            ("output_dt_s", float)) if key in doc}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"scenario {doc['name']}: missing key or malformed "
-                            f"value: {exc!r}") from None
-    return Scenario(name=str(doc["name"]), case=str(doc["case"]), events=events,
-                    **optional)
+    doc = check(SCENARIO, read_yaml(source, "scenario", ScenarioError), "scenario",
+                ScenarioError)
+    # keys the document leaves out take the Scenario defaults
+    events = tuple(ContingencyEvent(**ev) for ev in doc.pop("events", ()))
+    return Scenario(**doc, events=events)
 
 
 @dataclass(frozen=True)
@@ -148,13 +123,12 @@ class SimParams:
     ufls_enabled: bool = True
     error_cdf: str = "placeholder"  # 'placeholder' | 'zero' | CSV path
 
+    def __post_init__(self):
+        check(SIMULATION, vars(self), "simulation")
+
     @classmethod
     def from_model(cls, model: GridModel, **overrides) -> "SimParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(model.sim_params) - known
-        if unknown:
-            raise GridConfigError(f"unknown simulation parameters: {sorted(unknown)}")
-        return cls(**{**model.sim_params, **overrides})
+        return cls(**check(SIMULATION, {**model.sim_params, **overrides}, "simulation"))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +223,10 @@ def _resolve_error_cdf(params: SimParams) -> dispatch_mod.ErrorCdf:
         return dispatch_mod.zero_error_cdf()
     if params.error_cdf == "placeholder":
         return dispatch_mod.placeholder_error_cdf()
-    return dispatch_mod.ErrorCdf.from_csv(params.error_cdf)
+    try:
+        return dispatch_mod.ErrorCdf.from_csv(params.error_cdf)
+    except (OSError, dispatch_mod.CdfError) as exc:
+        raise GridConfigError(f"simulation.error_cdf: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +329,7 @@ class SystemState:
             self._b_aug_lu = spla.splu(b_aug)
         except RuntimeError as exc:
             raise IslandingError(f"network solve singular: {exc}") from exc
-        self._b_aug = b_aug
+        self._b_aug = b_aug.toarray()   # dense: scipy's sparse @ dispatch costs more
         idx = self.online.nonzero()[0]
         self._on = _Online(idx=idx, off=~self.online, bus=self.gen_bus[idx],
                            b_coupling=self.b_coupling[idx], rating=self.rating[idx],
@@ -388,6 +365,25 @@ def _per_second(values: list[np.ndarray], n_seconds: int) -> np.ndarray:
     return out
 
 
+def operating_point(model: GridModel, params: SimParams) -> tuple[dict, dict, float]:
+    """Scheduled wind and forecast load per bus, and the machine p.u. set-point
+    of every unit; ``ScenarioError`` when the units cannot hold it."""
+    # summed by Python in bus order: np.sum is pairwise and would move
+    # the operating point's last bit
+    wind_sched = {b.id: b.wind_mw * params.wind_schedule_pu for b in model.wind_buses}
+    load_sched = {b.id: b.load_mw * params.load_scale for b in model.load_buses}
+    p_conv = sum(load_sched.values()) - sum(wind_sched.values())
+    if p_conv < 0:
+        raise ScenarioError("simulation.load_scale: scheduled wind exceeds scheduled load")
+    loading = p_conv / sum(g.rating_mva for g in model.generators)
+    if any(g.kind == "hydro" for g in model.generators):
+        try:
+            mach.hydro_init(loading, mach.HydroParams(droop=params.droop))
+        except ValueError as exc:
+            raise ScenarioError(f"simulation.load_scale: hydro {exc}") from None
+    return wind_sched, load_sched, loading
+
+
 def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                 profiles: list[ProfileSet]) -> SystemState:
     """Dispatch generation to the forecast operating point and build the
@@ -411,18 +407,8 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     n_members = len(scenarios)
     idx = model.bus_pos
 
-    # scheduled wind and forecast load, summed by Python in bus order:
-    # np.sum is pairwise and would move the operating point's last bit
-    wind_sched = {b.id: b.wind_mw * params.wind_schedule_pu for b in model.wind_buses}
-    load_sched = {b.id: b.load_mw * params.load_scale for b in model.load_buses}
-    total_load = sum(load_sched.values())
-    total_wind = sum(wind_sched.values())
+    wind_sched, load_sched, loading = operating_point(model, params)
     gens = model.generators
-    total_rating = sum(g.rating_mva for g in gens)
-    p_conv = total_load - total_wind
-    if p_conv < 0:
-        raise ScenarioError("scheduled wind exceeds scheduled load")
-    loading = p_conv / total_rating          # identical machine p.u. set-point
 
     inj = np.zeros(n)
     for bus, w in wind_sched.items():
@@ -436,8 +422,6 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     theta0 = solve_dc_flow(b_red, inj, model)
 
     h = np.array([params.h_thermal if g.kind == "thermal" else params.h_hydro for g in gens])
-    if np.any(h <= 0):
-        raise GridConfigError("inertia constant must be positive")
     rating = np.array([g.rating_mva for g in gens])
     gen_bus = np.array([idx[g.bus] for g in gens], dtype=int)
     b_coupling = rating / (COUPLING_X * model.base_mva)
@@ -534,8 +518,10 @@ def step_system(state: SystemState) -> dict:
     if not np.isfinite(theta).all():
         raise IslandingError(f"network solve produced non-finite angles at "
                              f"t={state.clock:.2f}s")
-    residual = np.abs(state._b_aug @ state.per_member(theta).T
-                      - state.per_member(rhs).T).max(axis=0)
+    # B_aug is symmetric, so a member's row of angles times B_aug is B_aug
+    # theta; one product per member, so a member's residual is its solo run's
+    residual = np.abs((state.per_member(theta)[:, None, :] @ state._b_aug)[:, 0]
+                      - state.per_member(rhs)).max(axis=1)
     np.maximum(state.max_residual, residual, out=state.max_residual)
 
     pe_sys0 = b_on * (x0[0] - theta[bus_on])
@@ -620,6 +606,8 @@ def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
                        event.generator)
         return
     n_gen = len(gens)
+    if np.count_nonzero(state.online[:n_gen]) == 1:
+        raise IslandingError(f"trip of {event.generator} leaves no unit online")
     state.online[g::n_gen] = False
     state.p_mech[g::n_gen] = state.p_elec[g::n_gen] = 0.0
     state.refactorize()

@@ -8,7 +8,6 @@ angles through a nodal susceptance (Laplacian) matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -17,11 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-import yaml
 
-
-class GridConfigError(ValueError):
-    """Raised when a grid configuration document fails validation."""
+from .schema import GRID, GridConfigError, check, read_yaml
 
 
 class IslandingError(RuntimeError):
@@ -35,14 +31,6 @@ class GeneratorSpec:
     kind: str               # 'thermal' | 'hydro'
     rating_mva: float
 
-    def __post_init__(self):
-        if self.kind not in ("thermal", "hydro"):
-            raise GridConfigError(
-                f"generator {self.id}: unknown kind {self.kind!r}")
-        if not 0 < self.rating_mva < math.inf:
-            raise GridConfigError(
-                f"generator {self.id}: rating must be positive and finite: {self.rating_mva}")
-
 
 @dataclass(frozen=True)
 class BusSpec:
@@ -52,26 +40,12 @@ class BusSpec:
     load_mw: float | None = None      # forecast load
     dispatched: bool = False
 
-    def __post_init__(self):
-        if self.wind_mw is not None and not 0 < self.wind_mw < math.inf:
-            raise GridConfigError(f"bus {self.id}: wind rating must be positive and finite")
-        if self.load_mw is not None and not 0 < self.load_mw < math.inf:
-            raise GridConfigError(f"bus {self.id}: load forecast must be positive and finite")
-        if self.dispatched and self.wind_mw is None and self.load_mw is None:
-            raise GridConfigError(
-                f"bus {self.id}: dispatched flag requires a load or wind farm")
-
 
 @dataclass(frozen=True)
 class LineSpec:
     from_bus: int
     to_bus: int
     susceptance: float       # p.u. on system base
-
-    def __post_init__(self):
-        if not 0 < self.susceptance < math.inf:
-            raise GridConfigError(
-                f"line {self.from_bus}-{self.to_bus}: susceptance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -87,27 +61,28 @@ class GridModel:
     sim_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ids = [b.id for b in self.buses]
-        dup = {i for i in ids if ids.count(i) > 1}
-        if dup:
-            raise GridConfigError(f"duplicate bus ids: {sorted(dup)}")
-        idset = set(ids)
-        for ln in self.lines:
-            for end in (ln.from_bus, ln.to_bus):
-                if end not in idset:
-                    raise GridConfigError(
-                        f"dangling endpoint: line {ln.from_bus}-{ln.to_bus} "
-                        f"references nonexistent bus {end}")
-        if self.slack_bus not in idset:
-            raise GridConfigError(f"slack bus {self.slack_bus} does not exist")
+        """Checks across entries; ``schema.GRID`` holds those of one value."""
+        for i, b in enumerate(self.buses):
+            if self.bus_pos[b.id] != i:
+                raise GridConfigError(f"grid.buses[{i}].id: duplicate bus ids ({b.id})")
+            if b.dispatched and b.wind_mw is None and b.load_mw is None:
+                raise GridConfigError(f"grid.buses[{i}].dispatched: needs load_mw or wind_mw")
+        gen_ids = [g.id for g in self.generators]
+        if not gen_ids or len(set(gen_ids)) < len(gen_ids):
+            raise GridConfigError(f"grid.generators: needs units with distinct ids: {gen_ids}")
+        for i, ln in enumerate(self.lines):
+            for key, end in (("from", ln.from_bus), ("to", ln.to_bus)):
+                if end not in self.bus_pos:
+                    raise GridConfigError(f"grid.lines[{i}].{key}: dangling, no bus {end}")
+        if self.slack_bus not in self.bus_pos:
+            raise GridConfigError(f"grid.slack_bus: slack bus {self.slack_bus} does not exist")
         if not self._is_connected():
-            raise GridConfigError("network is not a single connected island")
+            raise GridConfigError("grid.lines: network is not a single connected island")
         if self.expected_wind_total_mw is not None:
             total = sum(b.wind_mw or 0.0 for b in self.buses)
             if abs(total - self.expected_wind_total_mw) > 1e-6:
-                raise GridConfigError(
-                    f"wind ratings sum to {total} MW, expected "
-                    f"{self.expected_wind_total_mw} MW")
+                raise GridConfigError(f"grid.expected_wind_total_mw: wind ratings (wind_mw) "
+                                      f"sum to {total} MW, not {self.expected_wind_total_mw}")
 
     # -- index helpers (computed once per model) ---------------------------
 
@@ -186,101 +161,34 @@ def solve_dc_flow(b_reduced: sp.spmatrix, injections_mw: np.ndarray,
 
 # -- config loading --------------------------------------------------------
 
-# a unit takes the machine parameters of its kind from the 'simulation' section
-_GENERATOR_KEYS = ("id", "bus", "type", "rating_mva")
-
-
-def _entries(doc: dict, section: str, build) -> list:
-    """``build(entry)`` for each entry of the list ``doc[section]``; an entry
-    that is not a mapping, lacks a key or holds a malformed value is a
-    ``GridConfigError`` naming it by its position ``section[i]``."""
-    out = []
-    try:
-        for entry in doc.get(section) or []:
-            out.append(build(dict(entry)))
-    except GridConfigError:
-        raise
-    except KeyError as exc:
-        raise GridConfigError(f"{section}[{len(out)}]: missing required key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise GridConfigError(f"{section}[{len(out)}]: {exc}") from None
-    return out
-
-
-def _generator_from_entry(entry: dict) -> GeneratorSpec:
-    gid = str(entry["id"])
-    unknown = sorted(set(entry) - set(_GENERATOR_KEYS))
-    if unknown:
-        raise GridConfigError(f"generator {gid}: unknown keys {unknown}; an entry "
-                              f"takes only {', '.join(_GENERATOR_KEYS)}")
-    return GeneratorSpec(id=gid, bus=int(entry["bus"]), kind=str(entry["type"]),
-                         rating_mva=float(entry["rating_mva"]))
-
-
-def _line_from_entry(entry: dict) -> LineSpec:
-    if "b" in entry:
-        b = float(entry["b"])
-    elif "x" in entry:
-        x = float(entry["x"])
-        if not 0 < x < math.inf:
-            raise GridConfigError(f"line {entry.get('from')}-{entry.get('to')}: "
-                                  f"reactance must be positive and finite")
-        b = 1.0 / x
-    else:
-        raise GridConfigError(
-            f"line {entry.get('from')}-{entry.get('to')}: needs 'b' or 'x'")
-    return LineSpec(from_bus=int(entry["from"]), to_bus=int(entry["to"]),
-                    susceptance=b)
-
-
 def load_grid_config(source: str | Path | dict) -> GridModel:
     """Parse and validate a grid configuration document (YAML or dict)."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = Path(source).read_text()
-        try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise GridConfigError(f"cannot parse {source}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GridConfigError("grid config must be a mapping")
-    for key in ("buses", "lines"):
-        if key not in doc:
-            raise GridConfigError(f"grid config missing required section {key!r}")
-
+    doc = check(GRID, read_yaml(source, "grid", GridConfigError), "grid")
+    bus_ids = {b["id"] for b in doc["buses"]}
     gens_by_bus: dict[int, GeneratorSpec] = {}
-    for spec in _entries(doc, "generators", _generator_from_entry):
-        if spec.bus in gens_by_bus:
-            raise GridConfigError(f"bus {spec.bus} has more than one generator")
-        gens_by_bus[spec.bus] = spec
-
-    def bus_from_entry(b: dict) -> BusSpec:
-        bid = int(b["id"])
-        return BusSpec(id=bid, generator=gens_by_bus.pop(bid, None),
-                       wind_mw=float(b["wind_mw"]) if "wind_mw" in b else None,
-                       load_mw=float(b["load_mw"]) if "load_mw" in b else None,
-                       dispatched=bool(b.get("dispatched", False)))
-
-    buses = _entries(doc, "buses", bus_from_entry)
-    if gens_by_bus:
-        orphans = ", ".join(f"{g.id}@bus{g.bus}" for g in gens_by_bus.values())
-        raise GridConfigError(f"generators placed on nonexistent buses: {orphans}")
-
+    for i, g in enumerate(doc["generators"]):
+        if g["bus"] not in bus_ids or g["bus"] in gens_by_bus:
+            why = "has more than one generator" if g["bus"] in bus_ids else "is nonexistent"
+            raise GridConfigError(f"grid.generators[{i}].bus: bus {g['bus']} {why}")
+        gens_by_bus[g["bus"]] = GeneratorSpec(id=g["id"], bus=g["bus"], kind=g["type"],
+                                              rating_mva=g["rating_mva"])
+    lines = []
+    for i, ln in enumerate(doc["lines"]):
+        if ("b" in ln) == ("x" in ln):
+            raise GridConfigError(f"grid.lines[{i}]: needs 'b' or 'x', not both")
+        lines.append(LineSpec(from_bus=ln["from"], to_bus=ln["to"],
+                              susceptance=ln["b"] if "b" in ln else 1.0 / ln["x"]))
     return GridModel(
-        buses=tuple(buses),
-        lines=tuple(_entries(doc, "lines", _line_from_entry)),
-        base_mva=float(doc.get("base_mva", 100.0)),
-        f0=float(doc.get("f0", 60.0)),
-        slack_bus=int(doc.get("slack_bus", 31)),
-        expected_wind_total_mw=(float(doc["expected_wind_total_mw"])
-                                if "expected_wind_total_mw" in doc else None),
-        sim_params=dict(doc.get("simulation", {})),
-    )
+        buses=tuple(BusSpec(id=b["id"], generator=gens_by_bus.get(b["id"]),
+                            wind_mw=b.get("wind_mw"), load_mw=b.get("load_mw"),
+                            dispatched=b.get("dispatched", False))
+                    for b in doc["buses"]),
+        lines=tuple(lines), sim_params=doc.get("simulation", {}),
+        **{key: doc[key] for key in ("base_mva", "f0", "slack_bus",
+                                     "expected_wind_total_mw") if key in doc})
 
 
 def ieee39() -> GridModel:
     """The bundled modified IEEE 39-bus case (10 generators, 4 wind farms)."""
     from importlib.resources import files
-    return load_grid_config(yaml.safe_load(
-        files("gridfreq.data").joinpath("ieee39.yaml").read_text()))
+    return load_grid_config(files("gridfreq.data").joinpath("ieee39.yaml"))

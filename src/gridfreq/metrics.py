@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Trajectory
-
-SCHEMA_VERSION = 1
-
+from .schema import METRICS, METRICS_VERSION as SCHEMA_VERSION, check
 
 class MetricsError(ValueError):
     pass
@@ -46,10 +44,8 @@ class Metrics:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.r_ls <= 0.5 + 1e-12:
-            raise MetricsError(f"R_ls {self.r_ls} outside [0, 0.5]")
-        if self.t_ls_s < 0 or self.eens_mwh < -1e-12:
-            raise MetricsError("negative duration or EENS")
+        check(METRICS, {**vars(self), "events": [vars(e) for e in self.events]},
+              "metrics", MetricsError)
 
 
 def compute_metrics(tr: Trajectory) -> Metrics:
@@ -148,17 +144,10 @@ def metrics_to_dict(m: Metrics) -> dict:
 
 
 def metrics_from_dict(d: dict) -> Metrics:
-    for key in ("r_ls", "t_ls_s", "eens_mwh"):
-        if key not in d:
-            raise MetricsError(f"metrics document missing key {key!r}")
-    version = d.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise MetricsError(f"metrics schema version {version!r} is not "
-                           f"{SCHEMA_VERSION}")
-    events = tuple(ShedEvent(**e) for e in d.get("events", ()))
-    return Metrics(r_ls=d["r_ls"], t_ls_s=d["t_ls_s"], eens_mwh=d["eens_mwh"],
-                   events=events, scenario=d.get("scenario", ""),
-                   case=d.get("case", ""), seed=d.get("seed", 0))
+    d = check(METRICS, d, "metrics", MetricsError)
+    d.pop("schema_version", None)           # a missing version reads as 1
+    events = tuple(ShedEvent(**e) for e in d.pop("events", ()))
+    return Metrics(**d, events=events)
 
 
 def load_metrics(path: str | Path) -> Metrics:

@@ -56,7 +56,7 @@ class TestValidate:
         p = tmp_path / "grid.yaml"
         p.write_text(yaml.safe_dump(doc))
         assert main(["validate", "--grid", str(p)]) == EXIT_VALIDATION
-        assert "G2" in capsys.readouterr().err
+        assert "generators[1].kd: unknown key" in capsys.readouterr().err
 
     def test_removed_simulation_key_exits_2(self, tmp_path, capsys):
         doc = four_bus_doc()

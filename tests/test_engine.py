@@ -57,7 +57,7 @@ class TestScenario:
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_nonfinite_event_time_rejected(self, value):
-        with pytest.raises(ScenarioError, match="outside horizon"):
+        with pytest.raises(ScenarioError, match=r"events\[0\]\.time_s: non-finite value"):
             load_scenario({"name": "x", "case": "A",
                            "events": [{"time_s": value, "generator": "G1"}]})
 
@@ -134,7 +134,7 @@ class TestSimParams:
     def test_unknown_model_key_rejected(self, four_bus):
         bad = gf.load_grid_config({**four_bus_doc(),
                                    "simulation": {"no_such_knob": 1}})
-        with pytest.raises(GridConfigError, match="unknown simulation"):
+        with pytest.raises(GridConfigError, match=r"simulation\.no_such_knob: unknown key"):
             SimParams.from_model(bad)
 
 
@@ -210,15 +210,15 @@ class TestInitAndStep:
     def test_generator_key_of_other_kind_rejected(self):
         """A generator entry takes id, bus, type and rating_mva only; any
         other key, machine parameters included, stops the grid at load,
-        naming the generator and the key."""
+        naming the entry and the key."""
         for gen, key in ((0, "kpp"), (1, "t_reheat"), (1, "kd"), (1, "t_filter"),
                          (1, "droop_on_power"), (0, "h"), (1, "d"),
                          (0, "coupling_x"), (1, "kp"), (0, "t_reheat"),
                          (1, "a_t")):
             doc = four_bus_doc()
             doc["generators"][gen][key] = 2.0
-            name = doc["generators"][gen]["id"]
-            with pytest.raises(GridConfigError, match=f"{name}.*{key}"):
+            with pytest.raises(GridConfigError,
+                               match=rf"generators\[{gen}\]\.{key}: unknown key"):
                 gf.load_grid_config(doc)
 
     def test_wind_exceeding_load_rejected(self, four_bus):

@@ -307,7 +307,7 @@ class TestSwing:
     def test_rejects_nonpositive_inertia(self):
         doc = two_bus_doc()
         doc["simulation"] = {"h_thermal": 0.0}
-        with pytest.raises(GridConfigError, match="inertia"):
+        with pytest.raises(GridConfigError, match=r"simulation\.h_thermal: 0\.0 is not positive"):
             run_scenario(gf.load_grid_config(doc),
                          Scenario(name="x", case="A", duration_s=1.0))
 

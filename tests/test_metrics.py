@@ -154,13 +154,13 @@ class TestSerialization:
         assert metrics_from_dict(metrics_to_dict(m)) == m
 
     def test_missing_key_rejected(self):
-        with pytest.raises(MetricsError, match="missing key"):
+        with pytest.raises(MetricsError, match="missing required key"):
             metrics_from_dict({"r_ls": 0.1, "t_ls_s": 1.0})
 
     def test_unknown_schema_version_rejected(self):
         d = metrics_to_dict(Metrics(r_ls=0.1, t_ls_s=1.0, eens_mwh=0.5))
         d["schema_version"] = 2
-        with pytest.raises(MetricsError, match="schema version 2"):
+        with pytest.raises(MetricsError, match=r"metrics\.schema_version: 2 is not 1"):
             metrics_from_dict(d)
         del d["schema_version"]
         assert metrics_from_dict(d).eens_mwh == 0.5
