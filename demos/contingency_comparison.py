@@ -23,7 +23,7 @@ from importlib.resources import files
 
 import gridfreq as gf
 from gridfreq.engine import SimParams, load_scenario, run_scenario
-from gridfreq.metrics import (compare_cases, compute_metrics, export_results,
+from gridfreq.metrics import (CaseComparison, compute_metrics, export_results,
                               format_comparison)
 
 
@@ -63,7 +63,7 @@ def main() -> None:
                 export_results(tr, m, outdir)
                 print(f"  wrote {outdir}/")
         print()
-        print(format_comparison(compare_cases(metrics["a"], metrics["b"])))
+        print(format_comparison(CaseComparison(metrics["a"], metrics["b"])))
         print()
 
     print("Case B sheds less energy because its buses never deviate from "

@@ -3,8 +3,7 @@ dispatched-by-design buses."""
 
 from .grid import (BusSpec, GeneratorSpec, GridConfigError, GridModel,
                    IslandingError, LineSpec, build_full_susceptance_matrix,
-                   build_susceptance_matrix, ieee39, load_grid_config,
-                   solve_dc_flow)
+                   ieee39, load_grid_config, solve_dc_flow)
 from .machines import (HydroGovState, HydroParams, SteamGovState, SteamParams,
                        hydro_governor_step, hydro_init, hydro_turbine_step,
                        steam_governor_step, steam_init, steam_turbine_step)
@@ -17,7 +16,7 @@ from .protection import (UflsRelayState, estimate_frequency,
 from .engine import (ContingencyEvent, Scenario, ScenarioError, SimParams,
                      Trajectory, build_profiles, load_scenario, run_ensemble,
                      run_scenario)
-from .metrics import (CaseComparison, Metrics, compare_cases, compute_metrics,
-                      export_results, format_comparison, load_metrics)
+from .metrics import (CaseComparison, Metrics, compute_metrics, export_results,
+                      format_comparison, load_metrics)
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -78,9 +77,13 @@ def _run_inputs(args) -> dict:
         doc = schema.check(schema.MANIFEST, schema.read_yaml(
             args.manifest, "manifest", engine.ScenarioError), "manifest",
             engine.ScenarioError)
-        # scenario paths are relative to the manifest
-        doc["scenarios"] = [str(Path(args.manifest).parent / p)
-                            for p in doc.get("scenarios", [])]
+        # paths are relative to the manifest; the bundled grid is a name
+        here = Path(args.manifest).parent
+        doc["scenarios"] = [str(here / p) for p in doc.get("scenarios", [])]
+        if doc.get("grid", "ieee39") != "ieee39":
+            doc["grid"] = str(here / doc["grid"])
+        if "output_dir" in doc:
+            doc["output_dir"] = str(here / doc["output_dir"])
         run.update(doc)
     return run
 
@@ -162,7 +165,7 @@ def cmd_compare(args) -> int:
     except (metrics.MetricsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(metrics.format_comparison(metrics.compare_cases(a, b)))
+    print(metrics.format_comparison(metrics.CaseComparison(a, b)))
     return EXIT_OK
 
 
@@ -191,13 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    default_out = os.environ.get("GRIDFREQ_OUTPUT_DIR", "results")
-
     p = sub.add_parser("run", help="run scenarios and export results")
     p.add_argument("--manifest", help="YAML manifest (grid, scenarios, output_dir, jobs, seed)")
     p.add_argument("--grid", help="grid config path or 'ieee39' (the default)")
     p.add_argument("--scenario", action="append", help="scenario YAML (repeatable)")
-    p.add_argument("--out", default=default_out, help="output directory")
+    p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel scenario workers, at most one per scenario")
     p.add_argument("--seed", type=int, help="override the scenario seeds")

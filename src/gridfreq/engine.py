@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,8 @@ import scipy.sparse.linalg as spla
 
 from . import dispatch as dispatch_mod
 from . import machines as mach
-from .grid import GridModel, GridConfigError, IslandingError, build_full_susceptance_matrix, solve_dc_flow, build_susceptance_matrix
+from .grid import (GridModel, GridConfigError, IslandingError,
+                   build_full_susceptance_matrix, solve_dc_flow)
 from .profiles import (ProfileError, resample_wind, scale_wind, make_load_profile,
                        synthetic_minute_walk, synthetic_second_multiplier)
 from .protection import FREQ_FILTER_TAU, UflsRelayState, estimate_frequency, ufls_step
@@ -157,22 +158,10 @@ class ProfileSet:
         return h.hexdigest()
 
 
-def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
-                   overrides: dict | None = None) -> ProfileSet:
-    """Generate (or take over) all per-bus profiles for one run.
-
-    ``overrides`` maps bus id to {'wind': array, 'load': array} of 1-s
-    values in MW, bypassing synthesis for that bus; an override for a
-    profile the grid does not have is an error.  With the four noise
-    sigmas at 0 every profile is flat at its schedule.
-    """
-    overrides = overrides or {}
-    for bus, ov in overrides.items():
-        spec = model.buses[model.bus_pos[bus]] if bus in model.bus_pos else None
-        have = {"wind": spec.wind_mw, "load": spec.load_mw} if spec else {}
-        for key in ov:
-            if have.get(key) is None:
-                raise ProfileError(f"bus {bus}: no {key!r} profile to override")
+def build_profiles(model: GridModel, scenario: Scenario,
+                   params: SimParams) -> ProfileSet:
+    """Synthesize all per-bus profiles for one run.  With the four noise
+    sigmas at 0 every profile is flat at its schedule."""
     n_seconds = scenario.n_seconds
     n_minutes = n_seconds // 60 + 2
     wind_mw: dict[int, np.ndarray] = {}
@@ -182,40 +171,25 @@ def build_profiles(model: GridModel, scenario: Scenario, params: SimParams,
     cdf = _resolve_error_cdf(params)
 
     for b in model.buses:
-        ov = overrides.get(b.id, {})
         if b.wind_mw is not None:
-            if "wind" in ov:
-                wind_mw[b.id] = _checked_override(ov["wind"], n_seconds, b.id)
-            else:
-                src = synthetic_minute_walk(
-                    n_minutes, start=params.wind_schedule_pu,
-                    sigma=params.wind_minute_sigma,
-                    seed=_bus_seed(scenario.seed, b.id, 1))
-                pu = resample_wind(src, params.wind_resample_sigma,
-                                   _bus_seed(scenario.seed, b.id, 2))
-                wind_mw[b.id] = scale_wind(pu, b.wind_mw)
+            src = synthetic_minute_walk(
+                n_minutes, start=params.wind_schedule_pu,
+                sigma=params.wind_minute_sigma,
+                seed=_bus_seed(scenario.seed, b.id, 1))
+            pu = resample_wind(src, params.wind_resample_sigma,
+                               _bus_seed(scenario.seed, b.id, 2))
+            wind_mw[b.id] = scale_wind(pu, b.wind_mw)
         if b.load_mw is not None:
-            if "load" in ov:
-                load_mw[b.id] = _checked_override(ov["load"], n_seconds, b.id)
-            else:
-                mult = synthetic_second_multiplier(
-                    n_seconds, sigma_slow=params.load_slow_sigma,
-                    sigma_fast=params.load_fast_sigma,
-                    seed=_bus_seed(scenario.seed, b.id, 3))
-                load_mw[b.id] = make_load_profile(mult, b.load_mw * params.load_scale)
+            mult = synthetic_second_multiplier(
+                n_seconds, sigma_slow=params.load_slow_sigma,
+                sigma_fast=params.load_fast_sigma,
+                seed=_bus_seed(scenario.seed, b.id, 3))
+            load_mw[b.id] = make_load_profile(mult, b.load_mw * params.load_scale)
         if b.dispatched:
             rng = np.random.default_rng(_bus_seed(scenario.seed, b.id, 4))
             eps[b.id] = cdf.sample(rng, n_seconds)
 
     return ProfileSet(wind_mw=wind_mw, load_mw=load_mw, battery_eps=eps)
-
-
-def _checked_override(values, n_seconds: int, bus: int) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or len(v) < n_seconds or not np.all(np.isfinite(v)):
-        raise ProfileError(f"bus {bus}: a profile override needs {n_seconds} "
-                           f"finite 1-s samples in one dimension, got shape {v.shape}")
-    return v
 
 
 def _resolve_error_cdf(params: SimParams) -> dispatch_mod.ErrorCdf:
@@ -361,6 +335,9 @@ class SystemState:
 def _per_second(values: list[np.ndarray], n_seconds: int) -> np.ndarray:
     out = np.empty((n_seconds, len(values)))
     for j, v in enumerate(values):
+        if v.ndim != 1 or len(v) < n_seconds or not np.isfinite(v[:n_seconds]).all():
+            raise ProfileError(f"a profile needs {n_seconds} finite 1-s samples "
+                               f"in one dimension, got shape {v.shape}")
         out[:, j] = v[:n_seconds]
     return out
 
@@ -400,7 +377,7 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                             f"profile sets: need one per member, at least one")
     for sc in scenarios:
         sc.validate_against(model)
-    if len({replace(sc, name="", case="A", seed=0) for sc in scenarios}) > 1:
+    if len({(sc.events, sc.duration_s, sc.dt_s, sc.output_dt_s) for sc in scenarios}) > 1:
         raise ScenarioError("an ensemble's members need the same events, "
                             "duration and steps")
     n = len(model.buses)
@@ -418,8 +395,7 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     for g in gens:
         inj[idx[g.bus]] += loading * g.rating_mva
 
-    b_red = build_susceptance_matrix(model)
-    theta0 = solve_dc_flow(b_red, inj, model)
+    theta0 = solve_dc_flow(model, inj)
 
     h = np.array([params.h_thermal if g.kind == "thermal" else params.h_hydro for g in gens])
     rating = np.array([g.rating_mva for g in gens])

@@ -76,7 +76,9 @@ class GridModel:
                     raise GridConfigError(f"grid.lines[{i}].{key}: dangling, no bus {end}")
         if self.slack_bus not in self.bus_pos:
             raise GridConfigError(f"grid.slack_bus: slack bus {self.slack_bus} does not exist")
-        if not self._is_connected():
+        ncomp, _ = csgraph.connected_components(build_full_susceptance_matrix(self),
+                                                directed=False)
+        if ncomp != 1:
             raise GridConfigError("grid.lines: network is not a single connected island")
         if self.expected_wind_total_mw is not None:
             total = sum(b.wind_mw or 0.0 for b in self.buses)
@@ -103,17 +105,6 @@ class GridModel:
     def wind_buses(self) -> tuple[BusSpec, ...]:
         return tuple(b for b in self.buses if b.wind_mw is not None)
 
-    def _is_connected(self) -> bool:
-        n = len(self.buses)
-        if n <= 1:
-            return True
-        idx = self.bus_pos
-        rows = [idx[ln.from_bus] for ln in self.lines]
-        cols = [idx[ln.to_bus] for ln in self.lines]
-        adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        ncomp, _ = csgraph.connected_components(adj, directed=False)
-        return ncomp == 1
-
 
 # -- susceptance matrix ----------------------------------------------------
 
@@ -130,32 +121,27 @@ def build_full_susceptance_matrix(model: GridModel) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def build_susceptance_matrix(model: GridModel) -> sp.csr_matrix:
-    """Reduced susceptance matrix with the slack row/column removed."""
-    full = build_full_susceptance_matrix(model)
-    k = model.bus_pos[model.slack_bus]
-    keep = np.r_[0:k, k + 1:full.shape[0]]
-    return full[np.ix_(keep, keep)].tocsr()
-
-
-def solve_dc_flow(b_reduced: sp.spmatrix, injections_mw: np.ndarray,
-                  model: GridModel) -> np.ndarray:
+def solve_dc_flow(model: GridModel, injections_mw: np.ndarray) -> np.ndarray:
     """Solve B·theta = P for bus angles in radians, slack angle pinned at 0.
 
-    ``injections_mw`` is the per-bus net injection over all buses (slack
-    included; its entry is the balancing residual and is not part of the
-    solve).
+    ``injections_mw`` is the per-bus net injection over all buses.  The
+    slack row and column of the Laplacian are set to the identity and the
+    slack entry of P to 0, which eliminates the slack bus exactly (its
+    injection is the balancing residual and is not part of the solve).
     """
     k = model.bus_pos[model.slack_bus]
+    b = build_full_susceptance_matrix(model).tolil()
+    b[k, :] = 0.0
+    b[:, k] = 0.0
+    b[k, k] = 1.0
     p = np.asarray(injections_mw, dtype=float) / model.base_mva
-    rhs = np.delete(p, k)
+    p[k] = 0.0
     try:
-        theta_red = spla.spsolve(b_reduced.tocsc(), rhs)
+        theta = spla.spsolve(b.tocsc(), p)
     except RuntimeError as exc:
         raise IslandingError(f"singular susceptance matrix: {exc}") from exc
-    if not np.all(np.isfinite(theta_red)):
+    if not np.all(np.isfinite(theta)):
         raise IslandingError("singular susceptance matrix (non-finite solution)")
-    theta = np.insert(theta_red, k, 0.0)
     return theta
 
 

@@ -10,7 +10,7 @@ for EENS.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,24 +95,18 @@ def compute_metrics(tr: Trajectory) -> Metrics:
 class CaseComparison:
     a: Metrics
     b: Metrics
-    eens_ratio: float = field(init=False)
-    t_ls_reduction_pct: float = field(init=False)
-    eens_reduction_pct: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "eens_ratio",
-                           self.a.eens_mwh / self.b.eens_mwh
-                           if self.b.eens_mwh > 0 else float("inf"))
-        object.__setattr__(self, "t_ls_reduction_pct",
-                           100.0 * (1.0 - self.b.t_ls_s / self.a.t_ls_s)
-                           if self.a.t_ls_s > 0 else 0.0)
-        object.__setattr__(self, "eens_reduction_pct",
-                           100.0 * (1.0 - self.b.eens_mwh / self.a.eens_mwh)
-                           if self.a.eens_mwh > 0 else 0.0)
+    @property
+    def eens_ratio(self) -> float:
+        return self.a.eens_mwh / self.b.eens_mwh if self.b.eens_mwh > 0 else float("inf")
 
+    @property
+    def t_ls_reduction_pct(self) -> float:
+        return 100.0 * (1.0 - self.b.t_ls_s / self.a.t_ls_s) if self.a.t_ls_s > 0 else 0.0
 
-def compare_cases(a: Metrics, b: Metrics) -> CaseComparison:
-    return CaseComparison(a=a, b=b)
+    @property
+    def eens_reduction_pct(self) -> float:
+        return 100.0 * (1.0 - self.b.eens_mwh / self.a.eens_mwh) if self.a.eens_mwh > 0 else 0.0
 
 
 def format_comparison(cmp: CaseComparison) -> str:

@@ -24,6 +24,9 @@ SHED_LEVELS = (0.0, *sorted(level for _, level in _SHED_STEPS))
 # (frequency offset below f0, level restored to)
 _RESTORE_STEPS = ((0.25, 0.0), (0.5, 0.05), (0.75, 0.15))
 
+SHED_DELAY = 0.15           # pickup delay of a deeper level, s
+RESTORE_DELAY = 10.0        # pickup delay of a restored level, s: reconnection is cautious
+
 FREQ_FILTER_TAU = 0.05      # estimator low-pass time constant, s
 
 
@@ -58,8 +61,6 @@ class UflsRelayState:
     level: float = 0.0          # committed shed fraction
     candidate: float | None = None
     timer: float = 0.0          # accumulated time the candidate has persisted
-    delay: float = 0.15         # shed pickup delay, s
-    restore_delay: float = 10.0  # restoration pickup delay, s: reconnection is cautious
 
 
 def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
@@ -68,7 +69,7 @@ def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
     A target level (from the shedding map below f0 - 1.0 Hz, from the
     restoration map above the restoration thresholds, hold in between)
     must persist for at least the pickup delay before it is committed:
-    ``delay`` when shedding deeper, ``restore_delay`` when restoring.
+    ``SHED_DELAY`` when shedding deeper, ``RESTORE_DELAY`` when restoring.
     The timer resets whenever the target changes.
     """
     if dt <= 0:
@@ -90,14 +91,14 @@ def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
     if target == r.level:
         if r.candidate is None and r.timer == 0.0:
             return r
-        return UflsRelayState(f0, r.level, None, 0.0, r.delay, r.restore_delay)
+        return UflsRelayState(f0, r.level, None, 0.0)
     if target != r.candidate:
-        return UflsRelayState(f0, r.level, target, dt, r.delay, r.restore_delay)
+        return UflsRelayState(f0, r.level, target, dt)
     timer = r.timer + dt
-    delay = r.delay if target > r.level else r.restore_delay
+    delay = SHED_DELAY if target > r.level else RESTORE_DELAY
     if timer >= delay - 1e-12:
-        return UflsRelayState(f0, target, None, 0.0, r.delay, r.restore_delay)
-    return UflsRelayState(f0, r.level, target, timer, r.delay, r.restore_delay)
+        return UflsRelayState(f0, target, None, 0.0)
+    return UflsRelayState(f0, r.level, target, timer)
 
 
 def estimate_frequency(theta, prev_theta, filt, dt: float, tau: float,

@@ -52,7 +52,9 @@ SIMULATION = {  # the SimParams fields
     "ufls_enabled": (bool, None, False),
     "error_cdf": (str, None, False)}              # 'placeholder' | 'zero' | CSV path
 EVENT = {"time_s": (Real, NONNEGATIVE, True), "generator": (str, None, True)}
-SCENARIO = {"name": (str, None, True),
+SCENARIO = {"name": (str, (lambda v: v not in ("", ".", "..") and "/" not in v,
+                           "one path component (not '', '.' or '..', and no '/')"),
+                     True),
             "case": (str, (lambda v: v in ("A", "B"), "A or B"), True),
             "events": ([EVENT], None, False), "duration_s": (Real, POSITIVE, False),
             "dt_s": (Real, POSITIVE, False), "seed": (Integral, NONNEGATIVE, False),

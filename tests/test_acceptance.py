@@ -8,6 +8,7 @@ hygiene (step-halving, equilibrium drift, solve residuals) and byte
 determinism.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import time
@@ -54,7 +55,8 @@ class TestDroopLaw:
         load = np.full(92, 900.0)               # 1 s samples, horizon + 2
         load[10:] = 990.0                       # +10% step at t = 10 s
         sc = Scenario(name="droop", case="A", duration_s=90.0)
-        profiles = build_profiles(model, sc, params, {3: {"load": load}})
+        profiles = dataclasses.replace(build_profiles(model, sc, params),
+                                       load_mw={3: load})
         tr = run_scenario(model, sc, params=params, profiles=profiles)
         f_end = tr.bus_freq[-1].mean()
         dp = 90.0
@@ -68,10 +70,10 @@ class TestDroopLaw:
 # 2. relay exactness over randomized traces
 # ---------------------------------------------------------------------------
 
-def _reference_relay_trace(freqs, dt, delay, restore_delay, f0=60.0,
-                           start=(0.0, None, 0.0)):
+def _reference_relay_trace(freqs, dt, f0=60.0, start=(0.0, None, 0.0)):
     """Independent table-driven automaton producing (level, candidate,
-    timer) after each sample, from the state ``start``."""
+    timer) after each sample, from the state ``start``; a deeper level
+    commits after 0.15 s, a restored one after 10 s."""
     level, cand, timer = start
     out = []
     for f in freqs:
@@ -95,28 +97,41 @@ def _reference_relay_trace(freqs, dt, delay, restore_delay, f0=60.0,
             cand, timer = tgt, dt
         else:
             timer += dt
-            if timer >= (delay if tgt > level else restore_delay) - 1e-12:
+            if timer >= (0.15 if tgt > level else 10.0) - 1e-12:
                 level, cand, timer = tgt, None, 0.0
         out.append((level, cand, timer))
     return out
 
 
+def _commits(start_level: float, want: list) -> tuple[bool, bool]:
+    """Whether a reference trace commits a deeper and a restored level."""
+    levels = [start_level] + [lv for lv, _, _ in want]
+    steps = list(zip(levels, levels[1:]))
+    return any(b > a for a, b in steps), any(b < a for a, b in steps)
+
+
 class TestRelayExactness:
+    """The step ``dt`` is drawn per trace, up to 0.1 s, so that a trace of
+    a few hundred steps lasts long enough for the 10-s restoration pickup
+    to commit, as well as the 0.15-s shed pickup."""
+
     def test_thousand_randomized_traces_zero_violations(self):
         rng = np.random.default_rng(99)
-        dt = 0.01
+        both = 0
         for _ in range(1000):
-            n = int(rng.integers(50, 300))
+            dt = float(rng.uniform(0.01, 0.1))
+            n = int(rng.integers(200, 400))
             # random-walk frequency covering all staircase bands
             f = 60.0 + np.cumsum(rng.normal(0.0, 0.15, size=n))
             f = np.clip(f, 57.5, 61.0)
-            relay = UflsRelayState(f0=60.0, restore_delay=0.15)
-            want = _reference_relay_trace(f, dt, relay.delay,
-                                          relay.restore_delay)
+            relay = UflsRelayState(f0=60.0)
+            want = _reference_relay_trace(f, dt)
             for k, fk in enumerate(f):
                 relay = ufls_step(relay, float(fk), dt)
                 assert (relay.level, relay.candidate, relay.timer) == want[k]
                 assert relay.level in SHED_LEVELS
+            both += all(_commits(0.0, want))
+        assert both >= 20      # traces that shed and then restore
 
     def test_randomized_traces_from_any_start_state(self):
         """Traces from a drawn (level, candidate, timer): a pending
@@ -124,23 +139,27 @@ class TestRelayExactness:
         (a timer without a candidate too), so every transition out of
         each state is reached, not only those a trace from rest reaches."""
         rng = np.random.default_rng(7)
-        dt = 0.01
+        sheds = restores = 0
         for _ in range(1000):
+            dt = float(rng.uniform(0.02, 0.1))
             level = float(rng.choice(SHED_LEVELS))
             others = [lv for lv in SHED_LEVELS if lv != level]
             cand = None if rng.random() < 0.4 else float(rng.choice(others))
-            timer = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.2))
-            n = int(rng.integers(20, 200))
+            # a running timer on the scale of the shed or the restore delay
+            timer = 0.0 if rng.random() < 0.3 else float(
+                rng.uniform(0.0, rng.choice([0.2, 10.0])))
+            n = int(rng.integers(100, 300))
             f = 60.0 + float(rng.uniform(-2.5, 1.0)) + np.cumsum(
                 rng.normal(0.0, 0.1, size=n))
             f = np.clip(f, 57.5, 61.0)
-            relay = UflsRelayState(f0=60.0, level=level, candidate=cand, timer=timer,
-                                   restore_delay=float(rng.uniform(0.1, 0.5)))
-            want = _reference_relay_trace(f, dt, relay.delay, relay.restore_delay,
-                                          start=(level, cand, timer))
+            relay = UflsRelayState(f0=60.0, level=level, candidate=cand, timer=timer)
+            want = _reference_relay_trace(f, dt, start=(level, cand, timer))
             for k, fk in enumerate(f):
                 relay = ufls_step(relay, float(fk), dt)
                 assert (relay.level, relay.candidate, relay.timer) == want[k]
+            shed, restore = _commits(level, want)
+            sheds, restores = sheds + shed, restores + restore
+        assert sheds >= 100 and restores >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import os
 
 import pytest
 import yaml
@@ -182,6 +183,36 @@ class TestRun:
         assert rc == EXIT_VALIDATION
         assert "tiny" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "..", ".", ""],
+                             ids=["parent-dir", "two-parts", "dot-dot", "dot", "empty"])
+    def test_name_that_is_not_one_path_component_exits_2(self, grid_file, scenario_file,
+                                                         tmp_path, capsys, name):
+        """A scenario writes into the directory of its name, so the name must
+        stay inside --out."""
+        doc = yaml.safe_load(scenario_file.read_text())
+        scenario_file.write_text(yaml.safe_dump(dict(doc, name=name)))
+        out = tmp_path / "results"
+        for args in (["validate"], ["run", "--out", str(out)]):
+            rc = main([*args, "--grid", str(grid_file), "--scenario", str(scenario_file)])
+            assert rc == EXIT_VALIDATION
+            assert "scenario.name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.yaml", "sc.yaml"]
+
+    def test_manifest_paths_relative_to_the_manifest(self, grid_file, scenario_file,
+                                                      tmp_path, monkeypatch):
+        """grid, scenarios and output_dir are read beside the manifest, not
+        in the working directory; an absolute path is kept."""
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(yaml.safe_dump({
+            "grid": grid_file.name, "scenarios": [str(scenario_file)],
+            "output_dir": "mout"}))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["run", "--manifest", os.path.relpath(manifest)]) == EXIT_OK
+        assert (tmp_path / "mout" / "tiny" / "metrics.json").exists()
+        assert not list(elsewhere.iterdir())
 
     def test_run_without_scenarios_exits_2(self, capsys):
         assert main(["run"]) == EXIT_VALIDATION

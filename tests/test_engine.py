@@ -6,6 +6,7 @@ bookkeeping, seed pairing, contingency handling).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,11 +161,13 @@ class TestProfiles:
         assert prof.load_mw[4][0] == 300.0 * p.load_scale
 
     def test_overrides_bypass_synthesis(self, four_bus):
+        """A run steps on the profiles it is given, not on synthesized ones."""
         p = quick_params(four_bus)
         sc = Scenario(name="t", case="A", duration_s=10)
-        prof = build_profiles(four_bus, sc, p,
-                              overrides={3: {"wind": np.full(12, 123.0)}})
-        assert prof.wind_mw[3][0] == 123.0
+        prof = replace(build_profiles(four_bus, sc, p),
+                       wind_mw={3: np.full(12, 123.0)})
+        tr = run_scenario(four_bus, sc, params=p, profiles=prof)
+        assert np.all(tr.wind_mw == 123.0)
 
     @pytest.mark.parametrize("values", [np.full(11, 123.0),
                                         np.r_[np.full(11, 123.0), np.nan],
@@ -172,20 +175,9 @@ class TestProfiles:
     def test_short_or_nonfinite_override_rejected(self, four_bus, values):
         p = quick_params(four_bus)
         sc = Scenario(name="t", case="A", duration_s=10)
+        prof = replace(build_profiles(four_bus, sc, p), wind_mw={3: values})
         with pytest.raises(ProfileError, match="12 finite"):
-            build_profiles(four_bus, sc, p, overrides={3: {"wind": values}})
-
-    @pytest.mark.parametrize("overrides, bus, key", [
-        ({99: {"load": np.full(12, 1.0)}}, 99, "load"),     # no such bus
-        ({1: {"load": np.full(12, 1.0)}}, 1, "load"),       # bus 1 has no load
-        ({4: {"lod": np.full(12, 1.0)}}, 4, "lod"),         # misspelled key
-    ])
-    def test_override_without_a_profile_rejected(self, four_bus, overrides,
-                                                 bus, key):
-        p = quick_params(four_bus)
-        sc = Scenario(name="t", case="A", duration_s=10)
-        with pytest.raises(ProfileError, match=f"bus {bus}: no '{key}'"):
-            build_profiles(four_bus, sc, p, overrides=overrides)
+            run_scenario(four_bus, sc, params=p, profiles=prof)
 
     def test_eps_streams_only_on_dispatched_buses(self, four_bus):
         p = SimParams.from_model(four_bus)

@@ -8,7 +8,7 @@ The swing equation is checked through one-machine engine runs.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -280,8 +280,8 @@ class TestSwing:
         params = SimParams.from_model(model, reserve_fraction=0.0,
                                       ufls_enabled=False, **FLAT)
         sc = Scenario(name="swing", case="A", duration_s=30.0)
-        profiles = build_profiles(model, sc, params,
-                                  {2: {"load": np.full(32, 550.0)}})
+        profiles = replace(build_profiles(model, sc, params),
+                           load_mw={2: np.full(32, 550.0)})
         tr = run_scenario(model, sc, params=params, profiles=profiles)
         np.testing.assert_allclose(tr.gen_p_mech[:, 0], 0.5, rtol=1e-14)
         np.testing.assert_allclose(tr.gen_p_elec[1:, 0], 0.55, rtol=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from gridfreq.engine import Trajectory
 from gridfreq.metrics import (CaseComparison, Metrics, MetricsError,
-                              ShedEvent, compare_cases, compute_metrics,
+                              ShedEvent, compute_metrics,
                               export_results, format_comparison, load_metrics,
                               metrics_from_dict, metrics_to_dict)
 
@@ -124,7 +124,7 @@ class TestComparison:
     def test_ratio_and_reductions(self):
         a = Metrics(r_ls=0.15, t_ls_s=100.0, eens_mwh=12.0, case="A")
         b = Metrics(r_ls=0.15, t_ls_s=30.0, eens_mwh=3.0, case="B")
-        cmp = compare_cases(a, b)
+        cmp = CaseComparison(a, b)
         assert cmp.eens_ratio == pytest.approx(4.0)
         assert cmp.t_ls_reduction_pct == pytest.approx(70.0)
         assert cmp.eens_reduction_pct == pytest.approx(75.0)
@@ -132,7 +132,7 @@ class TestComparison:
     def test_zero_denominators(self):
         a = Metrics(r_ls=0.0, t_ls_s=0.0, eens_mwh=0.0, case="A")
         b = Metrics(r_ls=0.0, t_ls_s=0.0, eens_mwh=0.0, case="B")
-        cmp = compare_cases(a, b)
+        cmp = CaseComparison(a, b)
         assert cmp.eens_ratio == float("inf")
         assert cmp.t_ls_reduction_pct == 0.0
 
@@ -141,7 +141,7 @@ class TestComparison:
                     scenario="S1A")
         b = Metrics(r_ls=0.05, t_ls_s=44.0, eens_mwh=3.99, case="B",
                     scenario="S1B")
-        text = format_comparison(compare_cases(a, b))
+        text = format_comparison(CaseComparison(a, b))
         assert "EENS ratio a/b" in text
         assert "S1A" in text and "S1B" in text
 

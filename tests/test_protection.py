@@ -1,8 +1,8 @@
 """UFLS relay staircase, pickup-delay behavior and the frequency estimator.
 
-The relay is checked against hand-traced sequences and a small
-randomized suite driven by an independent reference automaton written
-directly from the threshold table.
+The relay is checked against hand-traced sequences here; the randomized
+traces against an independent reference automaton are in
+``test_acceptance.py``.
 """
 
 import math
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gridfreq.protection import (SHED_LEVELS, UflsRelayState,
+from gridfreq.protection import (RESTORE_DELAY, UflsRelayState,
                                  estimate_frequency,
                                  restoration_level_for_frequency,
                                  shed_level_for_frequency, ufls_step)
@@ -100,11 +100,11 @@ class TestRelay:
         assert r.level == 0.25
 
     def test_restoration_path(self):
-        r = UflsRelayState(f0=F0, restore_delay=0.15)
+        r = UflsRelayState(f0=F0)
         r = drive(r, [58.7] * 16)       # 15%
-        r = drive(r, [59.6] * 16)       # >= f0-0.5: restore to 5%
+        r = drive(r, [59.6] * 1001)     # >= f0-0.5 for 10 s: restore to 5%
         assert r.level == 0.05
-        r = drive(r, [59.9] * 16)       # >= f0-0.25: full restoration
+        r = drive(r, [59.9] * 1001)     # >= f0-0.25 for 10 s: full restoration
         assert r.level == 0.0
 
     def test_dead_band_holds_level(self):
@@ -115,18 +115,20 @@ class TestRelay:
         assert r.level == 0.05
 
     def test_separate_restore_delay(self):
-        r = UflsRelayState(f0=F0, restore_delay=1.0)
+        """A shed commits after 0.15 s, a restoration only after 10 s."""
+        assert RESTORE_DELAY == 10.0
+        r = UflsRelayState(f0=F0)
         r = drive(r, [58.9] * 16)
         assert r.level == 0.05
-        r = drive(r, [59.9] * 99)       # 0.99 s above threshold: not yet
+        r = drive(r, [59.9] * 999)      # 9.99 s above threshold: not yet
         assert r.level == 0.05
         r = drive(r, [59.9] * 2)
         assert r.level == 0.0
 
     def test_restore_timer_resets_on_dip(self):
-        r = UflsRelayState(f0=F0, restore_delay=1.0)
+        r = UflsRelayState(f0=F0)
         r = drive(r, [58.9] * 16)
-        samples = ([59.9] * 90 + [59.6] * 1) * 5    # dips reset the hold
+        samples = ([59.9] * 990 + [59.6] * 1) * 3   # dips reset the hold
         r = drive(r, samples)
         assert r.level == 0.05
 
@@ -146,46 +148,6 @@ class TestRelay:
         r = UflsRelayState(f0=F0)
         r2 = ufls_step(r, math.nextafter(F0 - 1.0, 0.0), 0.01)
         assert (r2.level, r2.candidate, r2.timer) == (0.0, 0.05, 0.01)
-
-    def test_randomized_against_reference_automaton(self):
-        """200 random traces vs an independent re-implementation."""
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            dt = 0.01
-            delay, restore_delay = 0.15, float(rng.uniform(0.1, 0.5))
-            r = UflsRelayState(f0=F0, delay=delay,
-                               restore_delay=restore_delay)
-            level, cand, timer = 0.0, None, 0.0
-            f = F0
-            for _step in range(400):
-                f = float(np.clip(f + rng.normal(0, 0.12), 57.0, 61.0))
-                r = ufls_step(r, f, dt)
-                # reference: table-driven target, then delay bookkeeping
-                if f < F0 - 1.0:
-                    tgt = level
-                    for off, lv in ((1.0, 0.05), (1.2, 0.15), (1.4, 0.25),
-                                    (1.6, 0.35), (1.8, 0.45), (2.0, 0.50)):
-                        if f <= F0 - off:
-                            tgt = max(level, lv)
-                elif f >= F0 - 0.25:
-                    tgt = min(level, 0.0)
-                elif f >= F0 - 0.5:
-                    tgt = min(level, 0.05)
-                elif f >= F0 - 0.75:
-                    tgt = min(level, 0.15)
-                else:
-                    tgt = level
-                if tgt == level:
-                    cand, timer = None, 0.0
-                elif tgt != cand:
-                    cand, timer = tgt, dt
-                else:
-                    timer += dt
-                    need = delay if tgt > level else restore_delay
-                    if timer >= need - 1e-12:
-                        level, cand, timer = tgt, None, 0.0
-                assert r.level == level
-                assert r.level in SHED_LEVELS
 
 
 def ramp_estimates(w, n, dt=0.01, tau=0.05):

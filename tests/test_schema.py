@@ -41,8 +41,8 @@ MANIFEST = {"grid": "grid.yaml", "scenarios": ["sc.yaml"], "output_dir": "out",
 
 @contextlib.contextmanager
 def inside(path):
-    """Work in ``path``: a manifest's output_dir and a dropped one's
-    default are relative to the working directory."""
+    """Work in ``path``: a manifest that drops output_dir writes to the
+    default --out, which is relative to the working directory."""
     cwd = os.getcwd()
     os.chdir(path)
     try:
