@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import sys
 from pathlib import Path
@@ -54,18 +53,10 @@ def _load_inputs(grid_spec: str, scenario_paths: list[str], seed: int | None = N
 # run
 # ---------------------------------------------------------------------------
 
-def _run_one(args):
-    model, scenario, outdir = args
-    tr = engine.run_scenario(model, scenario)
-    m = metrics.compute_metrics(tr)
-    metrics.export_results(tr, m, outdir)
-    return scenario.name, m
-
-
 def _run_inputs(args) -> dict:
     """The flags given, then the manifest's keys, each checked as a manifest."""
     flags = {"grid": args.grid, "scenarios": args.scenario, "output_dir": args.out,
-             "jobs": args.jobs, "seed": args.seed}
+             "seed": args.seed}
     run = schema.check(schema.MANIFEST, {k: v for k, v in flags.items() if v is not None},
                        "arguments", engine.ScenarioError)
     if args.manifest:
@@ -101,20 +92,22 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
 
     outdir = Path(run["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    work = [(model, sc, outdir / sc.name) for sc in scenarios]
-    # a pool starts all its workers at once: no more than there is work for
-    workers = min(run["jobs"], len(work))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: output directory {outdir}: {exc.strerror}", file=sys.stderr)
+        return EXIT_RUNTIME
+    # members of one ensemble share a schedule; each batch keeps every
+    # member's trajectory in memory until the batch ends
+    batches: dict[tuple, list[engine.Scenario]] = {}
+    for sc in scenarios:
+        batches.setdefault(sc.schedule, []).append(sc)
     results = {}
     try:
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-                for name, m in ex.map(_run_one, work):
-                    results[name] = m
-        else:
-            for item in work:
-                name, m = _run_one(item)
-                results[name] = m
+        for batch in batches.values():
+            for sc, tr in zip(batch, engine.run_ensemble(model, batch)):
+                results[sc.name] = m = metrics.compute_metrics(tr)
+                metrics.export_results(tr, m, outdir / sc.name)
     except Exception as exc:  # noqa: BLE001 - surface any scenario failure
         print(f"error: scenario run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -195,12 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run scenarios and export results")
-    p.add_argument("--manifest", help="YAML manifest (grid, scenarios, output_dir, jobs, seed)")
+    p.add_argument("--manifest", help="YAML manifest (grid, scenarios, output_dir, seed)")
     p.add_argument("--grid", help="grid config path or 'ieee39' (the default)")
     p.add_argument("--scenario", action="append", help="scenario YAML (repeatable)")
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel scenario workers, at most one per scenario")
     p.add_argument("--seed", type=int, help="override the scenario seeds")
     p.set_defaults(func=cmd_run)
 

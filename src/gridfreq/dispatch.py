@@ -64,8 +64,6 @@ class ErrorCdf:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws by inverse-transform sampling with linear
         interpolation; deterministic for a given generator state."""
-        if self.eps.size == 1:
-            return np.full(n, self.eps[0])
         return np.interp(rng.random(n), self.prob, self.eps)
 
     @classmethod

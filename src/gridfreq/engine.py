@@ -82,6 +82,11 @@ class Scenario:
         """Samples per 1-s profile; steps read seconds 0 to ceil(duration_s) - 1."""
         return math.ceil(self.duration_s) + 2
 
+    @property
+    def schedule(self) -> tuple:
+        """What the members of one ensemble must share to step together."""
+        return (self.events, self.duration_s, self.dt_s, self.output_dt_s)
+
     def event_step(self, ev: ContingencyEvent) -> int:
         """The step before which ``ev`` fires."""
         return round(ev.time_s / self.dt_s)
@@ -285,6 +290,7 @@ class SystemState:
     clock: float = 0.0
     # set by refactorize at every topology change
     _b_aug_lu: object = None
+    _b_aug: np.ndarray | None = None    # dense: scipy's sparse @ dispatch costs more
     _on: _Online | None = None
     # injections the next step reuses; None has it rebuild them
     _inj: _Injections | None = None
@@ -303,7 +309,7 @@ class SystemState:
             self._b_aug_lu = spla.splu(b_aug)
         except RuntimeError as exc:
             raise IslandingError(f"network solve singular: {exc}") from exc
-        self._b_aug = b_aug.toarray()   # dense: scipy's sparse @ dispatch costs more
+        self._b_aug = b_aug.toarray()
         idx = self.online.nonzero()[0]
         self._on = _Online(idx=idx, off=~self.online, bus=self.gen_bus[idx],
                            b_coupling=self.b_coupling[idx], rating=self.rating[idx],
@@ -366,8 +372,8 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     """Dispatch generation to the forecast operating point and build the
     equilibrium state of one member per (scenario, profiles) pair.
 
-    The members step together, so their scenarios must share events,
-    duration and step sizes, and name only generators of ``model``;
+    The members step together, so their scenarios must share one
+    ``Scenario.schedule`` and name only generators of ``model``;
     otherwise this raises ``ScenarioError``.  The forecast operating point
     depends only on the grid and the parameters, so every member starts
     from the same equilibrium.
@@ -377,7 +383,7 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                             f"profile sets: need one per member, at least one")
     for sc in scenarios:
         sc.validate_against(model)
-    if len({(sc.events, sc.duration_s, sc.dt_s, sc.output_dt_s) for sc in scenarios}) > 1:
+    if len({sc.schedule for sc in scenarios}) > 1:
         raise ScenarioError("an ensemble's members need the same events, "
                             "duration and steps")
     n = len(model.buses)
@@ -676,7 +682,7 @@ def run_scenario(model: GridModel, scenario: Scenario,
 def run_ensemble(model: GridModel, scenarios: list[Scenario],
                  params: SimParams | None = None,
                  profiles: list[ProfileSet] | None = None) -> list[Trajectory]:
-    """Run scenarios that share an event schedule as one batch.
+    """Run scenarios that share one ``Scenario.schedule`` as one batch.
 
     The members (any mix of seeds and cases) step side by side through
     one factorization and one Python loop per step; each member's

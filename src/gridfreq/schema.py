@@ -62,8 +62,7 @@ SCENARIO = {"name": (str, (lambda v: v not in ("", ".", "..") and "/" not in v,
 MANIFEST = {"grid": (str, None, False),
             "scenarios": (list, (lambda v: all(isinstance(p, str) for p in v),
                                  "a list of paths"), False),
-            "output_dir": (str, None, False), "jobs": (Integral, COUNT, False),
-            "seed": (Integral, NONNEGATIVE, False)}
+            "output_dir": (str, None, False), "seed": (Integral, NONNEGATIVE, False)}
 METRICS_VERSION = 1            # of the metrics.json this program writes
 SHED_EVENT = dict.fromkeys(("trigger_s", "clear_s", "max_level"), (Real, FINITE, True))
 METRICS = {"r_ls": (Real, (lambda v: 0 <= v <= 0.5 + 1e-12, "in [0, 0.5]"), True),

@@ -1,13 +1,13 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
-import concurrent.futures
 import json
 import os
 
 import pytest
 import yaml
 
-from gridfreq.cli import EXIT_OK, EXIT_VALIDATION, main
+from gridfreq import engine, grid, metrics
+from gridfreq.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 from conftest import FLAT, four_bus_doc
 
@@ -130,46 +130,73 @@ class TestRun:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "mout").exists()
 
-    def test_workers_capped_at_scenario_count(self, grid_file, scenario_file,
-                                              tmp_path, monkeypatch):
-        """--jobs 8 over two scenarios asks the pool for two workers; a
-        stand-in executor records the request and runs the work in-process."""
-        requested = []
+    def test_one_batch_per_schedule(self, scenario_file, tmp_path, monkeypatch):
+        """An A/B pair with one trip runs as one batch and a scenario with
+        another trip as a second; every export is byte-equal to its solo
+        run's, and the summary keeps the input order."""
+        grid_path = tmp_path / "noisy.yaml"
+        grid_path.write_text(yaml.safe_dump(four_bus_doc()))
+        doc = yaml.safe_load(scenario_file.read_text())
+        paths = [scenario_file]
+        for name, changes in (("other", {"events": [{"time_s": 3, "generator": "G2"}]}),
+                              ("tiny_b", {"case": "B", "seed": 4})):
+            paths.append(tmp_path / f"{name}.yaml")
+            paths[-1].write_text(yaml.safe_dump({**doc, "name": name, **changes}))
+        model = grid.load_grid_config(str(grid_path))
+        solo = tmp_path / "solo"
+        for p in paths:
+            sc = engine.load_scenario(str(p))
+            tr = engine.run_scenario(model, sc)
+            metrics.export_results(tr, metrics.compute_metrics(tr), solo / sc.name)
 
-        class Recorder:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+        sizes = []
+        run_ensemble = engine.run_ensemble
 
-            def __enter__(self):
-                return self
+        def recording(model, scenarios, *rest):
+            sizes.append(len(scenarios))
+            return run_ensemble(model, scenarios, *rest)
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        other = tmp_path / "other.yaml"
-        other.write_text(yaml.safe_dump(dict(yaml.safe_load(scenario_file.read_text()),
-                                             name="other")))
+        monkeypatch.setattr(engine, "run_ensemble", recording)
         out = tmp_path / "results"
-        rc = main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
-                   "--scenario", str(other), "--jobs", "8", "--out", str(out)])
+        rc = main(["run", "--grid", str(grid_path), "--out", str(out),
+                   *(arg for p in paths for arg in ("--scenario", str(p)))])
         assert rc == EXIT_OK
-        assert requested == [2]
-        assert (out / "tiny" / "metrics.json").exists()
-        assert (out / "other" / "metrics.json").exists()
+        assert sizes == [2, 1]
+        for name in ("tiny", "other", "tiny_b"):
+            for f in ("trajectory.csv", "metrics.json"):
+                assert (out / name / f).read_bytes() == (solo / name / f).read_bytes()
+        rows = (out / "summary.txt").read_text().splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["tiny", "other", "tiny_b"]
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_2(self, grid_file, scenario_file, tmp_path,
                                     capsys, jobs):
+        """run has no --jobs option: argparse rejects any value of it, and the
+        manifest key is a row of test_schema."""
         out = tmp_path / "results"
-        rc = main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
-                   "--jobs", jobs, "--out", str(out)])
-        assert rc == EXIT_VALIDATION
-        assert "jobs" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
+                  "--jobs", jobs, "--out", str(out)])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_naming_a_file_exits_1(self, grid_file, scenario_file, tmp_path,
+                                       monkeypatch, capsys):
+        """The output directory is made before any scenario runs; an
+        exception would reach the test instead of an exit code."""
+        def never(*args):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr(engine, "run_ensemble", never)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        rc = main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
+                   "--out", str(afile)])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(afile) in err
+        assert afile.read_text() == "kept\n"
 
     def test_repeated_scenario_name_exits_2(self, grid_file, scenario_file,
                                             tmp_path, capsys):

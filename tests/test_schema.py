@@ -36,7 +36,7 @@ TRIPPED = "G4"
 SCENARIO = {"name": "one", "case": "B", "duration_s": 1.0, "dt_s": 0.05, "seed": 1,
             "output_dt_s": 0.1, "events": [{"time_s": 0.5, "generator": TRIPPED}]}
 MANIFEST = {"grid": "grid.yaml", "scenarios": ["sc.yaml"], "output_dir": "out",
-            "jobs": 1, "seed": 1}
+            "seed": 1}
 
 
 @contextlib.contextmanager
@@ -152,7 +152,7 @@ class TestManifestHoles:
     @pytest.mark.parametrize("doc, naming", [
         ({**MANIFEST, "job": 2}, "manifest.job: unknown key"),
         ({**MANIFEST, "output": "elsewhere"}, "manifest.output: unknown key"),
-        ({**MANIFEST, "jobs": "x"}, "manifest.jobs: expected Integral"),
+        ({**MANIFEST, "jobs": "x"}, "manifest.jobs: unknown key"),
         ([MANIFEST], "manifest: expected a mapping, got list")])
     def test_bad_manifest_exits_2(self, capsys, tmp_path, doc, naming):
         write_inputs(tmp_path)
