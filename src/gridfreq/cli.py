@@ -92,10 +92,15 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
 
     outdir = Path(run["output_dir"])
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
+    paths = (outdir, *(outdir / sc.name for sc in scenarios))
+    try:    # every output directory before any compute, and none if one is a file
+        for path in paths:
+            if path.exists() and not path.is_dir():
+                raise FileExistsError(None, "File exists", str(path))
+        for path in paths:
+            path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: output directory {outdir}: {exc.strerror}", file=sys.stderr)
+        print(f"error: output directory {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_RUNTIME
     # members of one ensemble share a schedule; each batch keeps every
     # member's trajectory in memory until the batch ends

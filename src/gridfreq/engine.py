@@ -18,6 +18,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +30,8 @@ from .grid import (GridModel, GridConfigError, IslandingError,
                    build_full_susceptance_matrix, solve_dc_flow)
 from .profiles import (ProfileError, resample_wind, scale_wind, make_load_profile,
                        synthetic_minute_walk, synthetic_second_multiplier)
-from .protection import FREQ_FILTER_TAU, UflsRelayState, estimate_frequency, ufls_step
+from .protection import (FREQ_FILTER_TAU, UflsRelayState, estimate_frequency,
+                         filter_gain, ufls_step)
 from .schema import SCENARIO, SIMULATION, ScenarioError, check, read_yaml
 
 logger = logging.getLogger(__name__)
@@ -218,14 +220,12 @@ COUPLING_X = 0.3                    # machine coupling reactance, machine p.u.
 @dataclass
 class _Bank:
     """The units of one machine kind in every member, fixed for the run:
-    positions in the flat machine arrays, the parameters and step
-    constants they share, and governor state, an array over those
-    entries.  A tripped unit's governor keeps stepping; nothing reads
-    its output."""
+    positions in the flat machine arrays, the step constants they share,
+    and governor state, an array over those entries.  A tripped unit's
+    governor keeps stepping; nothing reads its output."""
 
     idx: np.ndarray
-    params: object                  # SteamParams | HydroParams, scalar fields
-    k: object                       # SteamConstants | HydroConstants
+    k: SimpleNamespace              # the constants of its steps, 0-d arrays
     gov: object                     # SteamGovState | HydroGovState
 
 
@@ -265,7 +265,7 @@ class SystemState:
     model: GridModel
     params: SimParams
     n_members: int
-    dt: float                       # integration step, s
+    k: SimpleNamespace              # run-fixed step operands as 0-d arrays
     gen_bus: np.ndarray             # flat bus position of each machine
     rating: np.ndarray              # MVA
     two_h: np.ndarray               # twice the inertia, s on machine base
@@ -424,8 +424,7 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
             ("hydro", mach.HydroParams(droop=params.droop),
              mach.hydro_constants, mach.hydro_init)):
         units = [j for j, g in enumerate(gens) if g.kind == kind]
-        banks[kind] = _Bank(idx=flat(units, len(gens)), params=bank_params,
-                            k=constants(bank_params, dt),
+        banks[kind] = _Bank(idx=flat(units, len(gens)), k=constants(bank_params, dt),
                             gov=gov_init(np.full(n_members * len(units), loading),
                                          bank_params, reserve))
 
@@ -443,7 +442,10 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                 b_star, prof.battery_eps[bus][:n_seconds])
     n_gen = len(gens)
     state = SystemState(
-        model=model, params=params, n_members=n_members, dt=dt,
+        model=model, params=params, n_members=n_members,
+        k=SimpleNamespace(**{name: np.array(v) for name, v in dict(
+            dt=dt, half_dt=0.5 * dt, base_mva=model.base_mva, damping=params.damping, f0=model.f0,
+            ws=2.0 * math.pi * model.f0, alpha=filter_gain(dt, FREQ_FILTER_TAU)).items()}),
         gen_bus=flat(gen_bus, n), rating=np.tile(rating, n_members),
         two_h=np.tile(2.0 * h, n_members),
         b_coupling=np.tile(b_coupling, n_members),
@@ -472,15 +474,15 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
 # ---------------------------------------------------------------------------
 
 def step_system(state: SystemState) -> dict:
-    """Advance every member one step of ``state.dt``; returns per-step
+    """Advance every member one step of ``state.k.dt``; returns per-step
     records, each the largest over the members.
 
     Order: profile values -> shed application -> network solve ->
     electrical powers -> machine dynamics -> frequency estimation -> relays.
     """
-    model = state.model
-    base = model.base_mva
-    dt = state.dt
+    c = state.k
+    base = c.base_mva
+    dt = float(c.dt)                # the relays and the clock take a float
     sec = int(state.clock)
     if state._inj is None or state._inj.sec != sec:
         state._inj = state.injections(sec)
@@ -507,7 +509,7 @@ def step_system(state: SystemState) -> dict:
     np.maximum(state.max_residual, residual, out=state.max_residual)
 
     pe_sys0 = b_on * (x0[0] - theta[bus_on])
-    state.p_elec[on.idx] = pe_sys0 * base / rating
+    state.p_elec[on.idx] = pe0 = pe_sys0 * base / rating
 
     # governors see a midpoint estimate of the speed deviation (one
     # explicit half-step of the swing equation), turbine stages couple
@@ -515,48 +517,40 @@ def step_system(state: SystemState) -> dict:
     # the average of the old and new mechanical power: every cross-block
     # coupling is second-order accurate in dt
     w = state.rotor[1]
-    d = state.params.damping
-    dw = w + 0.5 * dt * ((state.p_mech - state.p_elec - d * w) / state.two_h)
+    dw = w + c.half_dt * ((state.p_mech - state.p_elec - c.damping * w) / state.two_h)
     p_m = np.zeros(len(state.online))
     steam, hydro = state.banks["thermal"], state.banks["hydro"]
     valve_prev = steam.gov.valve
-    mach.steam_governor_step(steam.gov, steam.params, dw[steam.idx], steam.k)
-    p_m[steam.idx] = mach.steam_turbine_step(steam.gov, steam.params, steam.k,
-                                             valve_prev=valve_prev)
+    mach.steam_governor_step(steam.gov, dw[steam.idx], steam.k)
+    p_m[steam.idx] = mach.steam_turbine_step(steam.gov, steam.k, valve_prev=valve_prev)
     gate_prev = hydro.gov.gate
-    mach.hydro_governor_step(hydro.gov, hydro.params, dw[hydro.idx], hydro.k)
-    p_m[hydro.idx] = mach.hydro_turbine_step(hydro.gov, hydro.params, hydro.k,
-                                             gate_prev=gate_prev)
+    mach.hydro_governor_step(hydro.gov, dw[hydro.idx], hydro.k)
+    p_m[hydro.idx] = mach.hydro_turbine_step(hydro.gov, hydro.k, gate_prev=gate_prev)
     # an assignment: scaling by ``online`` would write -0.0
     p_m[on.off] = 0.0
-    p_m_eff = 0.5 * (state.p_mech[on.idx] + p_m[on.idx])
+    p_m_eff = mach.HALF * (state.p_mech[on.idx] + p_m[on.idx])
 
     # coupled RK4 over all rotor angles and speeds, stacked as rows of
     # one array; the network algebraic constraint is re-solved at every
-    # stage so the synchronizing power is exact, not linearized about the
-    # step's starting point
-    ws = 2.0 * math.pi * model.f0
-
-    def derivs(x, theta_stage=None):
-        if theta_stage is None:
+    # later stage so the synchronizing power is exact, not linearized
+    # about the step's starting point.  Stage 1 takes the electrical
+    # power just computed from the same angles.
+    def derivs(x, pe=None):
+        if pe is None:
             stage_rhs = p_inj.copy()
             stage_rhs[bus_on] += b_on * x[0]
             theta_stage = solve(stage_rhs)
-        pe = (b_on * (x[0] - theta_stage[bus_on])) * base / rating
+            pe = (b_on * (x[0] - theta_stage[bus_on])) * base / rating
         k = np.empty_like(x)
-        np.multiply(ws, x[1], out=k[0])
-        k[1] = (p_m_eff - pe - d * x[1]) / on.two_h
+        np.multiply(c.ws, x[1], out=k[0])
+        k[1] = (p_m_eff - pe - c.damping * x[1]) / on.two_h
         return k
 
-    k1 = derivs(x0, theta_stage=theta)
-    k2 = derivs(x0 + 0.5 * dt * k1)
-    k3 = derivs(x0 + 0.5 * dt * k2)
-    k4 = derivs(x0 + dt * k3)
-    state.rotor[:, on.idx] = x0 + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    state.rotor[:, on.idx] = mach.rk4(derivs, x0, derivs(x0, pe0), c.dt, c.half_dt)
     state.p_mech = p_m
 
-    state.est_filt, state.freq = estimate_frequency(
-        theta, state.theta, state.est_filt, dt, FREQ_FILTER_TAU, model.f0)
+    state.est_filt, state.freq = estimate_frequency(theta, state.theta, state.est_filt,
+                                                    c.dt, c.alpha, c.f0)
     state.theta = theta
 
     if state.params.ufls_enabled:

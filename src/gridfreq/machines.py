@@ -18,28 +18,32 @@ Two prime-mover chains are provided:
 All scalar first-order lags are advanced by exact exponential
 discretization, so they are unconditionally stable regardless of the
 step size (the speed-relay time constant is 1 ms, far below typical
-integration steps).  What a step derives from the parameters and the
-step size alone (each lag's decay exp(-dt/tau)) is computed once, by
-``steam_constants``/``hydro_constants``, and passed to every step.
+integration steps).  Every run-fixed operand of a step (the parameters,
+dt, the lag decays exp(-dt/tau) and derived values, made once by
+``steam_constants``/``hydro_constants``) and every literal is a 0-d array:
+on numpy 2.4 a ufunc call costs about 0.45 us more with a Python float.
 
 States are plain mutable dataclasses.  Step functions advance them in
 place by rebinding fields to new values, never writing into a field's
 array, so a field read before a step keeps its step-start value.
 
-Every function is elementwise: a state or parameter field holds either
-one unit's scalar or an array over a bank of units of one kind, and one
-call on an N-unit bank gives bit for bit what N scalar calls give.  The
-swing equation is integrated by the engine, over all machines at once.
+Every function is elementwise: a state field (or a constant built from
+array parameters) holds one unit's value or an array over a bank of units
+of one kind, and one call on an N-unit bank gives bit for bit what N
+scalar calls give.  The engine integrates the swing equation with ``rk4``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-GATE_FLOOR = 1e-4   # gate floor preventing (q/G)^2 blow-up
+GATE_FLOOR = np.array(1e-4)     # gate floor preventing (q/G)^2 blow-up
+_CAP_TOL = np.array(1e-12)      # a gate this close to its cap is at it
+ZERO, HALF, ONE, TWO, SIX = map(np.array, (0.0, 0.5, 1.0, 2.0, 6.0))
 
 
 def lag_decay(tau, dt: float):
@@ -49,10 +53,27 @@ def lag_decay(tau, dt: float):
     return np.exp(-dt / tau)
 
 
+def _operands(params, dt: float, **derived) -> SimpleNamespace:
+    """Each field of ``params``, the decay ``x`` of each time constant ``t_x``,
+    ``dt``, ``half_dt`` and each ``derived`` value, as float64 arrays."""
+    ops = {**vars(params), "dt": dt, "half_dt": 0.5 * dt, **derived}
+    ops.update({name[2:]: lag_decay(tau, dt) for name, tau in vars(params).items()
+                if name.startswith("t_")})
+    return SimpleNamespace(**{name: np.asarray(v, dtype=float) for name, v in ops.items()})
+
+
 def _lag(state, target, decay):
     """Exact one-step response of dx/dt = (u - x)/tau for constant u,
     ``decay`` being ``lag_decay(tau, dt)``."""
     return target + (state - target) * decay
+
+
+def rk4(f, x, k1, dt, half_dt):
+    """One classical RK4 step of dx/dt = f(x) from ``x``, given k1 = f(x)."""
+    k2 = f(x + half_dt * k1)
+    k3 = f(x + half_dt * k2)
+    k4 = f(x + dt * k3)
+    return x + dt * (k1 + TWO * k2 + TWO * k3 + k4) / SIX
 
 
 # ---------------------------------------------------------------------------
@@ -87,22 +108,10 @@ class SteamGovState:
     valve_cap: float = math.inf    # operational cap (allocated reserve)
 
 
-@dataclass(frozen=True, slots=True)
-class SteamConstants:
-    """What a steam step derives from ``SteamParams`` and ``dt`` alone."""
-
-    dt: float
-    relay: float                   # lag decays exp(-dt/tau)
-    servo: float
-    chest: float
-    reheat: float
-    crossover: float
-
-
-def steam_constants(params: SteamParams, dt: float) -> SteamConstants:
-    return SteamConstants(dt, *(lag_decay(tau, dt) for tau in (
-        params.t_relay, params.t_servo, params.t_chest, params.t_reheat,
-        params.t_crossover)))
+def steam_constants(params: SteamParams, dt: float) -> SimpleNamespace:
+    """The run-fixed operands of a steam step (``_operands``); its lag
+    decays are ``relay``, ``servo``, ``chest``, ``reheat`` and ``crossover``."""
+    return _operands(params, dt)
 
 
 def steam_init(p_set: float, params: SteamParams,
@@ -114,27 +123,26 @@ def steam_init(p_set: float, params: SteamParams,
                          valve_cap=cap)
 
 
-def steam_governor_step(s: SteamGovState, params: SteamParams,
-                        delta_omega: float, k: SteamConstants) -> None:
+def steam_governor_step(s: SteamGovState, delta_omega: float,
+                        k: SimpleNamespace) -> None:
     """Advance governor/servomotor one step for speed deviation ``delta_omega``.
 
     The speed reference is constant (no AGC), so the valve demand is the
     load reference plus gain times the negated speed deviation.
     """
-    dt = k.dt
-    demand = s.load_ref + params.gain * (0.0 - delta_omega)
+    demand = s.load_ref + k.gain * (ZERO - delta_omega)
     relay = _lag(s.relay_out, demand, k.relay)
     # exact lag toward the relay output unless the implied rate saturates
     candidate = _lag(s.valve, relay, k.servo)
-    rate = (candidate - s.valve) / dt
-    rate = np.minimum(np.maximum(rate, params.rate_close), params.rate_open)
-    valve = s.valve + rate * dt
+    rate = np.minimum(np.maximum((candidate - s.valve) / k.dt, k.rate_close),
+                      k.rate_open)
+    valve = s.valve + rate * k.dt
     s.relay_out = relay
-    s.valve = np.minimum(np.maximum(valve, params.valve_min),
-                         np.minimum(params.valve_max, s.valve_cap))
+    s.valve = np.minimum(np.maximum(valve, k.valve_min),
+                         np.minimum(k.valve_max, s.valve_cap))
 
 
-def steam_turbine_step(s: SteamGovState, params: SteamParams, k: SteamConstants,
+def steam_turbine_step(s: SteamGovState, k: SimpleNamespace,
                        valve_prev: float) -> float:
     """Advance the turbine stage cascade; returns P_m in machine p.u.
 
@@ -142,12 +150,12 @@ def steam_turbine_step(s: SteamGovState, params: SteamParams, k: SteamConstants,
     (midpoint rule), so the cascade coupling is second-order accurate;
     ``valve_prev`` supplies the valve position at the start of the step.
     """
-    u_v = 0.5 * (valve_prev + s.valve)
+    u_v = HALF * (valve_prev + s.valve)
     p_ch = _lag(s.p_chest, u_v, k.chest)
-    p_rh = _lag(s.p_reheat, 0.5 * (s.p_chest + p_ch), k.reheat)
-    p_co = _lag(s.p_crossover, 0.5 * (s.p_reheat + p_rh), k.crossover)
+    p_rh = _lag(s.p_reheat, HALF * (s.p_chest + p_ch), k.reheat)
+    p_co = _lag(s.p_crossover, HALF * (s.p_reheat + p_rh), k.crossover)
     s.p_chest, s.p_reheat, s.p_crossover = p_ch, p_rh, p_co
-    return params.f_hp * p_ch + params.f_ip * p_rh + params.f_lp * p_co
+    return k.f_hp * p_ch + k.f_ip * p_rh + k.f_lp * p_co
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +188,10 @@ class HydroGovState:
     gate_cap: float = 1.0          # operational cap (allocated reserve)
 
 
-@dataclass(frozen=True, slots=True)
-class HydroConstants:
-    """What a hydro step derives from ``HydroParams`` and ``dt`` alone."""
-
-    dt: float
-    servo: float                   # servomotor lag decay exp(-dt/t_servo)
-
-
-def hydro_constants(params: HydroParams, dt: float) -> HydroConstants:
-    return HydroConstants(dt, lag_decay(params.t_servo, dt))
+def hydro_constants(params: HydroParams, dt: float) -> SimpleNamespace:
+    """The run-fixed operands of a hydro step (``_operands``), with
+    ``turbine_gain``; its servomotor lag decay is ``servo``."""
+    return _operands(params, dt, turbine_gain=params.turbine_gain)
 
 
 def hydro_init(p_set: float, params: HydroParams,
@@ -203,56 +205,47 @@ def hydro_init(p_set: float, params: HydroParams,
     return HydroGovState(gate=gate, flow=gate, gate_ref=gate, gate_cap=gate_cap)
 
 
-def hydro_governor_step(s: HydroGovState, params: HydroParams,
-                        delta_omega: float, k: HydroConstants) -> None:
+def hydro_governor_step(s: HydroGovState, delta_omega: float,
+                        k: SimpleNamespace) -> None:
     """Advance PI governor + servomotor one step.
 
     The droop feedback is the gate deviation from ``gate_ref``, in power
     units.  The integrator holds (anti-windup) while the gate is pinned
     at a limit and the error pushes further into it.
     """
-    dt = k.dt
     # midpoint gate estimate keeps the feedback consistent with the
     # (midpoint) speed deviation supplied by the caller
-    gate_mid = s.gate + 0.5 * s.servo_vel * dt
-    feedback = params.droop * (gate_mid - s.gate_ref) * params.turbine_gain
+    gate_mid = s.gate + HALF * s.servo_vel * k.dt
+    feedback = k.droop * (gate_mid - s.gate_ref) * k.turbine_gain
     err = -delta_omega - feedback
 
-    at_max = (s.gate >= s.gate_cap - 1e-12) & (err > 0)
-    at_min = (s.gate <= GATE_FLOOR) & (err < 0)
-    pid_int = np.where(at_max | at_min, s.pid_int, s.pid_int + params.ki * err * dt)
-    u = params.kp * err + 0.5 * (s.pid_int + pid_int)
+    at_max = (s.gate >= s.gate_cap - _CAP_TOL) & (err > ZERO)
+    at_min = (s.gate <= GATE_FLOOR) & (err < ZERO)
+    pid_int = np.where(at_max | at_min, s.pid_int, s.pid_int + k.ki * err * k.dt)
+    u = k.kp * err + HALF * (s.pid_int + pid_int)
     # servomotor: first-order lag commanding gate velocity, then integration
     # to gate position (the gate itself holds when the PI output is zero)
-    vel = _lag(s.servo_vel, params.servo_gain * u, k.servo)
+    vel = _lag(s.servo_vel, k.servo_gain * u, k.servo)
     # trapezoidal gate integration keeps the position second-order accurate
-    s.gate = np.minimum(np.maximum(s.gate + 0.5 * (s.servo_vel + vel) * dt, 0.0),
+    s.gate = np.minimum(np.maximum(s.gate + HALF * (s.servo_vel + vel) * k.dt, ZERO),
                         s.gate_cap)
     s.pid_int, s.servo_vel = pid_int, vel
 
 
-def hydro_turbine_step(s: HydroGovState, params: HydroParams, k: HydroConstants,
+def hydro_turbine_step(s: HydroGovState, k: SimpleNamespace,
                        gate_prev: float) -> float:
     """Advance the penstock flow (RK4, gate held at its step average);
     returns P_m.  ``gate_prev`` is the gate position at the start of the
     step.
     """
-    dt = k.dt
-    g = np.maximum(0.5 * (gate_prev + s.gate), GATE_FLOOR)
-    tw = params.t_water
+    g = np.maximum(HALF * (gate_prev + s.gate), GATE_FLOOR)
 
     # squares are products: a scalar ** 2 goes through libm pow, which can
     # differ in the last bit from the product an array power computes
     def dq(q):
         r = q / g
-        return (1.0 - r * r) / tw
+        return (ONE - r * r) / k.t_water
 
-    q = s.flow
-    k1 = dq(q)
-    k2 = dq(q + 0.5 * dt * k1)
-    k3 = dq(q + 0.5 * dt * k2)
-    k4 = dq(q + dt * k3)
-    s.flow = q_new = np.maximum(q + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
+    s.flow = q_new = np.maximum(rk4(dq, s.flow, dq(s.flow), k.dt, k.half_dt), ZERO)
     r = q_new / np.maximum(s.gate, GATE_FLOOR)      # at the endpoint gate
-    head = r * r
-    return params.turbine_gain * head * (q_new - params.q_nl)
+    return k.turbine_gain * (r * r) * (q_new - k.q_nl)  # A_t h (q - q_nl)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # (frequency offset below f0, shed fraction); deeper step wins at boundaries
 _SHED_STEPS = ((2.0, 0.50), (1.8, 0.45), (1.6, 0.35),
                (1.4, 0.25), (1.2, 0.15), (1.0, 0.05))
@@ -28,6 +30,7 @@ SHED_DELAY = 0.15           # pickup delay of a deeper level, s
 RESTORE_DELAY = 10.0        # pickup delay of a restored level, s: reconnection is cautious
 
 FREQ_FILTER_TAU = 0.05      # estimator low-pass time constant, s
+_TWO_PI = np.array(2.0 * math.pi)   # 0-d: a cheaper ufunc operand than a float
 
 
 def shed_level_for_frequency(f: float, f0: float) -> float:
@@ -101,18 +104,23 @@ def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
     return UflsRelayState(f0, r.level, target, timer)
 
 
-def estimate_frequency(theta, prev_theta, filt, dt: float, tau: float,
-                       f0: float):
+def filter_gain(dt: float, tau: float) -> float:
+    """Per-sample gain 1 - exp(-dt/tau) of the estimator's low-pass filter."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return 1.0 - math.exp(-dt / tau)
+
+
+def estimate_frequency(theta, prev_theta, filt, dt, alpha, f0):
     """PMU surrogate: low-pass filtered angle derivative plus f0.
 
     Advances the filtered d(theta)/dt ``filt`` (rad/s) by one sample of
-    the bus angle ``theta``; ``prev_theta`` is the previous sample, or
-    None before the first, which carries no derivative.  Elementwise
-    over arrays of buses.  Returns (filt, frequency in Hz).
+    the bus angle ``theta`` taken ``dt`` after ``prev_theta`` (None before
+    the first sample, which carries no derivative); ``alpha`` is
+    ``filter_gain(dt, tau)``.  Elementwise.  Returns (filt, frequency in Hz).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     raw = 0.0 if prev_theta is None else (theta - prev_theta) / dt
-    alpha = 1.0 - math.exp(-dt / tau)
     filt = filt + (raw - filt) * alpha
-    return filt, f0 + filt / (2.0 * math.pi)
+    return filt, f0 + filt / _TWO_PI

@@ -198,6 +198,34 @@ class TestRun:
         assert err.startswith("error: ") and str(afile) in err
         assert afile.read_text() == "kept\n"
 
+    def test_scenario_directory_naming_a_file_exits_1(self, grid_file, scenario_file,
+                                                      tmp_path, monkeypatch, capsys):
+        """Every scenario's directory is checked before the first batch runs,
+        so a scenario path that is a file fails before any compute, and no
+        other scenario's directory is made."""
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise RuntimeError("a batch started")
+
+        monkeypatch.setattr(engine, "run_ensemble", failing)
+        first = tmp_path / "first.yaml"
+        first.write_text(yaml.safe_dump(dict(yaml.safe_load(scenario_file.read_text()),
+                                             name="first")))
+        out = tmp_path / "results"
+        out.mkdir()
+        (out / "tiny").write_text("kept\n")
+        rc = main(["run", "--grid", str(grid_file), "--scenario", str(first),
+                   "--scenario", str(scenario_file), "--out", str(out)])
+        assert rc == EXIT_RUNTIME
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(out / "tiny") in err[0]
+        assert (out / "tiny").read_text() == "kept\n"
+        assert sorted(out.iterdir()) == [out / "tiny"]
+
     def test_repeated_scenario_name_exits_2(self, grid_file, scenario_file,
                                             tmp_path, capsys):
         """Two scenarios named alike would write one output directory."""

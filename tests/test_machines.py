@@ -7,8 +7,10 @@ call on a bank of units must equal one scalar call per unit, bit for bit.
 The swing equation is checked through one-machine engine runs.
 """
 
+import contextlib
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import gridfreq as gf
+from gridfreq import machines, protection
 from gridfreq.engine import (ContingencyEvent, Scenario, SimParams,
                              build_profiles, run_scenario)
 from gridfreq.grid import GridConfigError
@@ -26,7 +29,7 @@ from gridfreq.machines import (GATE_FLOOR, HydroGovState, HydroParams,
                                hydro_init, hydro_turbine_step,
                                steam_constants, steam_governor_step,
                                steam_init, steam_turbine_step)
-from gridfreq.protection import estimate_frequency
+from gridfreq.protection import estimate_frequency, filter_gain
 
 from conftest import FLAT, two_bus_doc
 
@@ -65,8 +68,8 @@ class TestSteam:
         params = SteamParams()
         s, k = steam_init(0.7, params), steam_constants(params, 0.01)
         for _ in range(1000):
-            steam_governor_step(s, params, 0.0, k)
-            p_m = steam_turbine_step(s, params, k, s.valve)
+            steam_governor_step(s, 0.0, k)
+            p_m = steam_turbine_step(s, k, s.valve)
         assert p_m == pytest.approx(0.7, abs=1e-12)
         assert s.valve == pytest.approx(0.7, abs=1e-12)
 
@@ -77,8 +80,8 @@ class TestSteam:
         s, k = steam_init(0.5, params, reserve=10.0), steam_constants(params, 0.01)
         dw = -0.002
         for _ in range(12000):          # 120 s >> reheater time constant
-            steam_governor_step(s, params, dw, k)
-            p_m = steam_turbine_step(s, params, k, s.valve)
+            steam_governor_step(s, dw, k)
+            p_m = steam_turbine_step(s, k, s.valve)
         want = 0.5 - params.gain * dw
         assert s.valve == pytest.approx(want, abs=1e-9)
         assert p_m == pytest.approx(want, rel=1e-6)
@@ -94,7 +97,7 @@ class TestSteam:
         k = steam_constants(params, dt)
         prev = s.valve
         for _ in range(200):
-            steam_governor_step(s, params, -0.05, k)        # huge demand
+            steam_governor_step(s, -0.05, k)        # huge demand
             rate = (s.valve - prev) / dt
             assert rate <= params.rate_open + 1e-12
             prev = s.valve
@@ -103,14 +106,14 @@ class TestSteam:
         params = SteamParams()
         s, k = steam_init(0.5, params, reserve=0.1), steam_constants(params, 0.01)
         for _ in range(5000):
-            steam_governor_step(s, params, -0.1, k)
+            steam_governor_step(s, -0.1, k)
         assert s.valve == pytest.approx(0.6, abs=1e-12)
 
     def test_valve_floor(self):
         params = SteamParams()
         s, k = steam_init(0.1, params), steam_constants(params, 0.01)
         for _ in range(5000):
-            steam_governor_step(s, params, 0.1, k)
+            steam_governor_step(s, 0.1, k)
         assert s.valve >= params.valve_min
 
     def test_turbine_cascade_matches_ode_oracle(self):
@@ -127,7 +130,7 @@ class TestSteam:
         got_p = np.empty(n)
         k = steam_constants(params, dt)
         for j in range(n):
-            got_p[j] = steam_turbine_step(s, params, k, s.valve)
+            got_p[j] = steam_turbine_step(s, k, s.valve)
 
         def rhs(_t, y):
             ch, rh, co = y
@@ -145,7 +148,7 @@ class TestSteam:
         """P_m is the fraction-weighted sum of the advanced stage states."""
         params = SteamParams()
         s = steam_init(0.42, params)
-        p_m = steam_turbine_step(s, params, steam_constants(params, 0.01), s.valve)
+        p_m = steam_turbine_step(s, steam_constants(params, 0.01), s.valve)
         assert (params.f_hp * s.p_chest + params.f_ip * s.p_reheat
                 + params.f_lp * s.p_crossover) == pytest.approx(p_m, rel=1e-14)
 
@@ -153,7 +156,7 @@ class TestSteam:
         params = SteamParams()
         s = steam_init(0.5, params)
         with pytest.raises(ValueError):
-            steam_governor_step(s, params, 0.0, steam_constants(params, 0.0))
+            steam_governor_step(s, 0.0, steam_constants(params, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +168,8 @@ class TestHydro:
         params = HydroParams()
         s, k = hydro_init(0.6, params), hydro_constants(params, 0.01)
         for _ in range(2000):
-            hydro_governor_step(s, params, 0.0, k)
-            p_m = hydro_turbine_step(s, params, k, s.gate)
+            hydro_governor_step(s, 0.0, k)
+            p_m = hydro_turbine_step(s, k, s.gate)
         assert p_m == pytest.approx(0.6, abs=1e-10)
 
     def test_init_gate_solves_power(self):
@@ -186,8 +189,8 @@ class TestHydro:
         s, k = hydro_init(0.5, params, reserve=10.0), hydro_constants(params, 0.01)
         dw = -0.003
         for _ in range(60000):          # 600 s: integral tail is slow
-            hydro_governor_step(s, params, dw, k)
-            p_m = hydro_turbine_step(s, params, k, s.gate)
+            hydro_governor_step(s, dw, k)
+            p_m = hydro_turbine_step(s, k, s.gate)
         want = 0.5 - dw / params.droop
         assert p_m == pytest.approx(want, rel=1e-4)
 
@@ -198,7 +201,7 @@ class TestHydro:
         assert s.gate_cap == pytest.approx(gate_cap)
         k = hydro_constants(params, 0.01)
         for _ in range(20000):
-            hydro_governor_step(s, params, -0.05, k)
+            hydro_governor_step(s, -0.05, k)
         assert s.gate <= s.gate_cap + 1e-12
 
     def test_antiwindup_freezes_integrator_at_cap(self):
@@ -207,7 +210,7 @@ class TestHydro:
         k = hydro_constants(params, 0.01)
         pid0 = None
         for _ in range(100):
-            hydro_governor_step(s, params, -0.05, k)
+            hydro_governor_step(s, -0.05, k)
             if s.gate >= s.gate_cap - 1e-12:
                 if pid0 is None:
                     pid0 = s.pid_int
@@ -227,7 +230,7 @@ class TestHydro:
         t = 0.0
         k = hydro_constants(params, dt)
         while t < horizon - 1e-9:
-            hydro_turbine_step(s, params, k, s.gate)
+            hydro_turbine_step(s, k, s.gate)
             t += dt
             got_t.append(t)
             got_q.append(s.flow)
@@ -245,16 +248,16 @@ class TestHydro:
         """Opening the gate first reduces mechanical power (head drop)."""
         params = HydroParams()
         s, k = hydro_init(0.5, params), hydro_constants(params, 0.01)
-        p0 = hydro_turbine_step(s, params, k, s.gate)
+        p0 = hydro_turbine_step(s, k, s.gate)
         s = s.__class__(gate=s.gate + 0.1, flow=s.flow, gate_cap=1.0)
-        p_after = hydro_turbine_step(s, params, k, s.gate)
+        p_after = hydro_turbine_step(s, k, s.gate)
         assert p_after < p0
 
     def test_gate_floor_prevents_blowup(self):
         params = HydroParams()
         s = hydro_init(0.3, params)
         s = s.__class__(gate=0.0, flow=0.05, gate_cap=1.0)
-        p_m = hydro_turbine_step(s, params, hydro_constants(params, 0.01), s.gate)
+        p_m = hydro_turbine_step(s, hydro_constants(params, 0.01), s.gate)
         assert math.isfinite(p_m)
         assert s.flow >= 0.0
         assert GATE_FLOOR > 0.0
@@ -263,7 +266,7 @@ class TestHydro:
         params = HydroParams()
         s = hydro_init(0.5, params)
         with pytest.raises(ValueError):
-            hydro_governor_step(s, params, 0.0, hydro_constants(params, -0.01))
+            hydro_governor_step(s, 0.0, hydro_constants(params, -0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -405,36 +408,36 @@ class TestBankEqualsScalarCalls:
     def test_steam_governor(self, bank, dt):
         s, p, dw = bank
         want = list(zip(units(s), units(p), dw))
-        for unit in want:
-            steam_governor_step(*unit, steam_constants(unit[1], dt))
-        steam_governor_step(s, p, dw, steam_constants(p, dt))
+        for us, up, udw in want:
+            steam_governor_step(us, udw, steam_constants(up, dt))
+        steam_governor_step(s, dw, steam_constants(p, dt))
         assert_same_bits(s, [us for us, _, _ in want])
 
     @given(banks(steam_bank), DT)
     def test_steam_turbine(self, bank, dt):
         s, p, dw = bank
         prev = s.valve + dw
-        want = [(us, steam_turbine_step(us, up, steam_constants(up, dt), v))
+        want = [(us, steam_turbine_step(us, steam_constants(up, dt), v))
                 for us, up, v in zip(units(s), units(p), prev)]
-        p_m = steam_turbine_step(s, p, steam_constants(p, dt), prev)
+        p_m = steam_turbine_step(s, steam_constants(p, dt), prev)
         assert_same_bits((s, p_m), want)
 
     @given(banks(hydro_bank), DT)
     def test_hydro_governor(self, bank, dt):
         s, p, dw = bank
         want = list(zip(units(s), units(p), dw))
-        for unit in want:
-            hydro_governor_step(*unit, hydro_constants(unit[1], dt))
-        hydro_governor_step(s, p, dw, hydro_constants(p, dt))
+        for us, up, udw in want:
+            hydro_governor_step(us, udw, hydro_constants(up, dt))
+        hydro_governor_step(s, dw, hydro_constants(p, dt))
         assert_same_bits(s, [us for us, *_ in want])
 
     @given(banks(hydro_bank), DT)
     def test_hydro_turbine(self, bank, dt):
         s, p, dw = bank
         prev = np.maximum(s.gate + dw, 0.0)
-        want = [(us, hydro_turbine_step(us, up, hydro_constants(up, dt), g))
+        want = [(us, hydro_turbine_step(us, hydro_constants(up, dt), g))
                 for us, up, g in zip(units(s), units(p), prev)]
-        p_m = hydro_turbine_step(s, p, hydro_constants(p, dt), prev)
+        p_m = hydro_turbine_step(s, hydro_constants(p, dt), prev)
         assert_same_bits((s, p_m), want)
 
     @given(banks(lambda values, flags: (values(-50.0, 50.0), values(-50.0, 50.0),
@@ -444,7 +447,90 @@ class TestBankEqualsScalarCalls:
         theta, prev, filt = bank
         if not primed:
             prev = [None] * len(theta)
+        alpha = filter_gain(dt, tau)
         assert_same_bits(
-            estimate_frequency(theta, prev if primed else None, filt, dt, tau, 60.0),
-            [estimate_frequency(t, p, f, dt, tau, 60.0)
+            estimate_frequency(theta, prev if primed else None, filt, dt, alpha, 60.0),
+            [estimate_frequency(t, p, f, dt, alpha, 60.0)
              for t, p, f in zip(theta, prev, filt)])
+
+
+# ---------------------------------------------------------------------------
+# 0-d array constants give the bits of plain Python floats
+# ---------------------------------------------------------------------------
+
+# the module-level 0-d literals and what they stand for
+LITERALS = ((machines, {"ZERO": 0.0, "HALF": 0.5, "ONE": 1.0, "TWO": 2.0, "SIX": 6.0,
+                        "GATE_FLOOR": 1e-4, "_CAP_TOL": 1e-12}),
+            (protection, {"_TWO_PI": 2.0 * math.pi}))
+
+
+@contextlib.contextmanager
+def float_literals():
+    """Every module-level 0-d literal a Python float for the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module, values in LITERALS:
+            for name, v in values.items():
+                assert np.ndim(getattr(module, name)) == 0 and getattr(module, name) == v
+                mp.setattr(module, name, v)
+        yield
+
+
+def float_constants(k) -> SimpleNamespace:
+    """``k`` with every 0-d array constant a Python float."""
+    assert all(np.ndim(v) == 0 and v.dtype == np.float64 for v in vars(k).values())
+    return SimpleNamespace(**{name: float(v) for name, v in vars(k).items()})
+
+
+class TestZeroDimConstantsEqualFloats:
+    """Run-fixed operands are 0-d arrays because a float operand costs a
+    ufunc call more; as Python floats of the same values (scalar
+    parameters, state of 1 to 64 units) every result keeps its bits."""
+
+    @given(banks(steam_bank), DT)
+    def test_steam_governor(self, bank, dt):
+        s, p, dw = bank
+        k, want = steam_constants(units(p)[0], dt), replace(s)
+        steam_governor_step(s, dw, k)
+        with float_literals():
+            steam_governor_step(want, dw, float_constants(k))
+        assert_same_bits(s, units(want))
+
+    @given(banks(steam_bank), DT)
+    def test_steam_turbine(self, bank, dt):
+        s, p, dw = bank
+        k, want, prev = steam_constants(units(p)[0], dt), replace(s), s.valve + dw
+        p_m = steam_turbine_step(s, k, prev)
+        with float_literals():
+            want_p = steam_turbine_step(want, float_constants(k), prev)
+        assert_same_bits((s, p_m), list(zip(units(want), want_p)))
+
+    @given(banks(hydro_bank), DT)
+    def test_hydro_governor(self, bank, dt):
+        s, p, dw = bank
+        k, want = hydro_constants(units(p)[0], dt), replace(s)
+        hydro_governor_step(s, dw, k)
+        with float_literals():
+            hydro_governor_step(want, dw, float_constants(k))
+        assert_same_bits(s, units(want))
+
+    @given(banks(hydro_bank), DT)
+    def test_hydro_turbine(self, bank, dt):
+        s, p, dw = bank
+        k, want = hydro_constants(units(p)[0], dt), replace(s)
+        prev = np.maximum(s.gate + dw, 0.0)
+        p_m = hydro_turbine_step(s, k, prev)
+        with float_literals():
+            want_p = hydro_turbine_step(want, float_constants(k), prev)
+        assert_same_bits((s, p_m), list(zip(units(want), want_p)))
+
+    @given(banks(lambda values, flags: (values(-50.0, 50.0), values(-50.0, 50.0),
+                                          values(-5.0, 5.0))),
+           DT, real(0.01, 0.5), real(45.0, 65.0), st.booleans())
+    def test_frequency_estimator(self, bank, dt, tau, f0, primed):
+        theta, prev, filt = bank
+        prev = prev if primed else None
+        ops = (dt, filter_gain(dt, tau), f0)
+        got = estimate_frequency(theta, prev, filt, *map(np.array, ops))
+        with float_literals():
+            want = estimate_frequency(theta, prev, filt, *ops)
+        assert_same_bits(got, list(zip(*want)))

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridfreq.protection import (RESTORE_DELAY, UflsRelayState,
-                                 estimate_frequency,
+                                 estimate_frequency, filter_gain,
                                  restoration_level_for_frequency,
                                  shed_level_for_frequency, ufls_step)
 
@@ -153,9 +153,10 @@ class TestRelay:
 def ramp_estimates(w, n, dt=0.01, tau=0.05):
     """Estimator output after n samples of angles advancing at rate w."""
     theta, prev, filt = 0.0 * w, None, 0.0 * w
+    alpha = filter_gain(dt, tau)
     for _ in range(n):
         theta = theta + w * dt
-        filt, f = estimate_frequency(theta, prev, filt, dt, tau, F0)
+        filt, f = estimate_frequency(theta, prev, filt, dt, alpha, F0)
         prev = theta
     return f
 
@@ -181,9 +182,15 @@ class TestFrequencyEstimator:
         np.testing.assert_allclose(f, F0 + want_filt / (2 * math.pi), rtol=1e-12)
 
     def test_first_sample_has_no_derivative(self):
-        _, f = estimate_frequency(5.0, None, 0.0, 0.01, 0.05, F0)
+        _, f = estimate_frequency(5.0, None, 0.0, 0.01, filter_gain(0.01, 0.05), F0)
         assert f == F0
 
     def test_rejects_nonpositive_dt(self):
+        """Also for the 0-d array dt the engine passes."""
+        for dt in (0.0, -0.01, np.array(0.0)):
+            with pytest.raises(ValueError):
+                estimate_frequency(0.0, None, 0.0, dt, 0.2, F0)
+
+    def test_filter_gain_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            estimate_frequency(0.0, None, 0.0, 0.0, 0.05, F0)
+            filter_gain(0.0, 0.05)
