@@ -7,22 +7,16 @@ minute-scale walk with fast second noise, and why everything replays
 bit-identically for a given seed.
 
 Usage:
-    python demos/profile_synthesis.py [--csv out.csv]
+    python demos/profile_synthesis.py
 """
-
-import argparse
 
 import numpy as np
 
 from gridfreq.profiles import (resample_wind, scale_wind, synthetic_minute_walk,
-                               synthetic_second_multiplier, write_second_csv)
+                               synthetic_second_multiplier)
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--csv", help="write the scaled wind profile here")
-    args = ap.parse_args()
-
     # 1. a synthetic 10-minute wind source (bounded random walk, p.u.)
     minutes = synthetic_minute_walk(10, start=0.8, sigma=0.02, seed=7)
     print("minute source (p.u.): ",
@@ -57,10 +51,6 @@ def main() -> None:
     print(f"load multiplier: mean {mult.mean():.4f}, "
           f"std {mult.std():.4f}, "
           f"range [{mult.min():.3f}, {mult.max():.3f}]")
-
-    if args.csv:
-        write_second_csv(farm, args.csv, unit="mw")
-        print(f"wrote {args.csv}")
 
 
 if __name__ == "__main__":

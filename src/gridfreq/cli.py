@@ -1,8 +1,7 @@
-"""Command-line driver: batch scenario runs, profile synthesis, comparisons.
+"""Command-line driver: batch scenario runs, comparisons, validation.
 
 Subcommands:
     run             run scenarios from a manifest (or flags) and export results
-    synth-profiles  resample a minute-resolution series to 1 s
     compare         compare two metrics JSON files
     validate        validate a grid config and scenario files
 
@@ -16,7 +15,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import engine, grid, metrics, profiles, schema
+from . import engine, grid, metrics, schema
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -129,30 +128,6 @@ def cmd_run(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# synth-profiles
-# ---------------------------------------------------------------------------
-
-def cmd_synth_profiles(args) -> int:
-    try:
-        if args.input:
-            src = profiles.read_minute_csv(args.input)
-        else:
-            src = profiles.synthetic_minute_walk(
-                n_minutes=args.minutes, start=args.start,
-                sigma=args.walk_sigma, seed=args.seed)
-        out = profiles.resample_wind(src, args.sigma, args.seed)
-        unit = "pu"
-        if args.rating:
-            out, unit = profiles.scale_wind(out, args.rating), "mw"
-        profiles.write_second_csv(out, args.output, unit)
-    except (profiles.ProfileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    print(f"wrote {len(out)} samples to {args.output}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
 
@@ -199,21 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--seed", type=int, help="override the scenario seeds")
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("synth-profiles", help="resample a minute series to 1 s")
-    p.add_argument("--input", help="minute-resolution CSV (timestamp, p.u. value)")
-    p.add_argument("--minutes", type=int, default=11,
-                   help="synthetic source length when no input is given")
-    p.add_argument("--start", type=float, default=0.8,
-                   help="synthetic source starting level, p.u.")
-    p.add_argument("--walk-sigma", type=float, default=0.03,
-                   help="synthetic source per-minute step std")
-    p.add_argument("--sigma", type=float, default=0.002,
-                   help="per-second increment std")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rating", type=float, help="scale output by this MW rating")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_synth_profiles)
 
     p = sub.add_parser("compare", help="compare two metrics JSON files")
     p.add_argument("a")

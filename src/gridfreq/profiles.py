@@ -4,14 +4,14 @@ Wind profiles start from a 1-minute per-unit source series and are
 resampled to 1 second: within each minute the per-second increments are
 drawn from a Gaussian whose mean is the minute's average slope, and the
 cumulative sum is anchored at the minute's starting value.  Load
-profiles are per-unit multipliers around the forecast.  All randomness
-is driven by explicit seeds, so profiles replay bit-identically.
+profiles are per-unit multipliers around the forecast.  Every profile
+is synthesized from a seed (``engine.build_profiles`` derives one per
+scenario seed, bus and purpose), none is read from a file, and each
+replays bit-identically; the battery error CDF
+(``simulation.error_cdf``) is the one stochastic input read from a file.
 """
 
 from __future__ import annotations
-
-import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -22,16 +22,6 @@ class ProfileError(ValueError):
     pass
 
 
-def _minute_values(minutes) -> np.ndarray:
-    """Per-unit minute data as a 1-D float array within [0, 1]."""
-    v = np.asarray(minutes, dtype=float)
-    if v.ndim != 1:
-        raise ProfileError("minute series must be one-dimensional")
-    if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):    # NaN fails too
-        raise ProfileError("minute series values must lie in [0, 1]")
-    return v
-
-
 def resample_wind(minutes, sigma: float, seed) -> np.ndarray:
     """Resample a per-unit minute series to 1 s with Gaussian increment noise.
 
@@ -40,7 +30,11 @@ def resample_wind(minutes, sigma: float, seed) -> np.ndarray:
     at each minute boundary, so a zero-sigma run interpolates the minute
     series exactly.  Output is clamped to [0, 1].
     """
-    v = _minute_values(minutes)
+    v = np.asarray(minutes, dtype=float)
+    if v.ndim != 1:
+        raise ProfileError("minute series must be one-dimensional")
+    if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):    # NaN fails too
+        raise ProfileError("minute series values must lie in [0, 1]")
     if len(v) < 2:
         raise ProfileError("minute series needs at least 2 samples to resample")
     if sigma < 0:
@@ -102,38 +96,3 @@ def synthetic_second_multiplier(n_seconds: int, sigma_slow: float,
     slow = np.interp(t_sec, t_min, walk)
     fast = rng.normal(0.0, sigma_fast, size=n_seconds)
     return np.clip(1.0 + slow + fast, LOAD_MULT_LO, LOAD_MULT_HI)
-
-
-# -- CSV I/O ---------------------------------------------------------------
-
-def read_minute_csv(path: str | Path) -> np.ndarray:
-    """Read (timestamp, per-unit value) rows at 60 s resolution."""
-    vals = []
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if lineno == 1 and not _is_number(row[-1]):
-                continue    # header row
-            try:
-                vals.append(float(row[-1]))
-            except ValueError as exc:
-                raise ProfileError(f"{path}:{lineno}: bad value {row[-1]!r}") from exc
-    return _minute_values(vals)
-
-
-def write_second_csv(values, path: str | Path, unit: str = "pu") -> None:
-    """Write a 1-s series as (second, value) rows; ``unit`` is 'pu' or 'mw'."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["second", f"value_{unit}"])
-        for i, v in enumerate(values):
-            w.writerow([i, f"{v:.10g}"])
-
-
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False

@@ -26,7 +26,7 @@ from gridfreq.metrics import compute_metrics, export_results
 from gridfreq.profiles import resample_wind
 from gridfreq.protection import SHED_LEVELS, UflsRelayState, ufls_step
 
-from conftest import FLAT
+from tests.conftest import FLAT
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ class TestDispatchIdentity:
 
 class TestMetricOracles:
     def _traj(self, t, expected, served, shed):
-        from test_metrics import make_traj
+        from tests.test_metrics import make_traj
         return make_traj(t, expected, served, shed)
 
     def test_hand_constructed_traces_match_oracles(self):

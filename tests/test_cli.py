@@ -9,7 +9,7 @@ import yaml
 from gridfreq import engine, grid, metrics
 from gridfreq.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
-from conftest import FLAT, four_bus_doc
+from tests.conftest import FLAT, four_bus_doc
 
 
 @pytest.fixture
@@ -168,17 +168,25 @@ class TestRun:
         rows = (out / "summary.txt").read_text().splitlines()[1:]
         assert [row.split()[0] for row in rows] == ["tiny", "other", "tiny_b"]
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("removed, named", [
+        pytest.param(["run", "--jobs", "0"], "--jobs", id="0"),
+        pytest.param(["run", "--jobs", "-1"], "--jobs", id="-1"),
+        pytest.param(["synth-profiles", "--minutes", "2"], "synth-profiles",
+                     id="synth-profiles"),
+    ])
     def test_jobs_below_one_exits_2(self, grid_file, scenario_file, tmp_path,
-                                    capsys, jobs):
-        """run has no --jobs option: argparse rejects any value of it, and the
-        manifest key is a row of test_schema."""
+                                    capsys, removed, named):
+        """Removed interfaces are argparse errors that name themselves and
+        write nothing: run's --jobs option, whatever its value (the manifest
+        key is a row of test_schema), and the synth-profiles command."""
         out = tmp_path / "results"
+        rest = {"run": ["--grid", str(grid_file), "--scenario", str(scenario_file),
+                        "--out", str(out)],
+                "synth-profiles": ["--output", str(out)]}
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
-                  "--jobs", jobs, "--out", str(out)])
+            main([*removed, *rest[removed[0]]])
         assert exc.value.code == EXIT_VALIDATION
-        assert "--jobs" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_naming_a_file_exits_1(self, grid_file, scenario_file, tmp_path,
@@ -272,47 +280,6 @@ class TestRun:
     def test_run_without_scenarios_exits_2(self, capsys):
         assert main(["run"]) == EXIT_VALIDATION
         assert "no scenarios" in capsys.readouterr().err
-
-
-class TestSynthProfiles:
-    def test_synthetic_source(self, tmp_path, capsys):
-        out = tmp_path / "wind.csv"
-        rc = main(["synth-profiles", "--minutes", "3", "--seed", "4",
-                   "--output", str(out)])
-        assert rc == EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "second,value_pu"
-        assert len(lines) == 182                     # header + 3*60+1 samples
-
-    def test_deterministic_per_seed(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for p in (a, b):
-            main(["synth-profiles", "--minutes", "2", "--seed", "11",
-                  "--output", str(p)])
-        assert a.read_text() == b.read_text()
-
-    def test_rating_scales_output(self, tmp_path):
-        out = tmp_path / "scaled.csv"
-        main(["synth-profiles", "--minutes", "2", "--seed", "1",
-              "--sigma", "0", "--walk-sigma", "0", "--start", "0.5",
-              "--rating", "400", "--output", str(out)])
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "second,value_mw"
-        assert lines[1] == "0,200"
-
-    def test_input_csv(self, tmp_path):
-        src = tmp_path / "mins.csv"
-        src.write_text("0,0.2\n60,0.8\n")
-        out = tmp_path / "o.csv"
-        assert main(["synth-profiles", "--input", str(src), "--sigma", "0",
-                     "--output", str(out)]) == EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        assert lines[1] == "0,0.2"
-        assert lines[-1] == "60,0.8"
-
-    def test_missing_input_exits_2(self, tmp_path, capsys):
-        assert main(["synth-profiles", "--input", "/nonexistent.csv",
-                     "--output", str(tmp_path / "o.csv")]) == EXIT_VALIDATION
 
 
 class TestCompare:

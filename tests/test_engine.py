@@ -18,7 +18,7 @@ from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError,
 from gridfreq.grid import GridConfigError
 from gridfreq.profiles import ProfileError
 
-from conftest import FLAT, four_bus_doc
+from tests.conftest import FLAT, four_bus_doc
 
 
 def quick_params(model, **kw):

@@ -14,7 +14,7 @@ import gridfreq as gf
 from gridfreq.grid import (GridConfigError, build_full_susceptance_matrix,
                            load_grid_config, solve_dc_flow)
 
-from conftest import four_bus_doc, two_bus_doc
+from tests.conftest import four_bus_doc, two_bus_doc
 
 
 # ---------------------------------------------------------------------------

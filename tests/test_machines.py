@@ -31,7 +31,7 @@ from gridfreq.machines import (GATE_FLOOR, HydroGovState, HydroParams,
                                steam_init, steam_turbine_step)
 from gridfreq.protection import estimate_frequency, filter_gain
 
-from conftest import FLAT, two_bus_doc
+from tests.conftest import FLAT, two_bus_doc
 
 
 # ---------------------------------------------------------------------------

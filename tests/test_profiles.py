@@ -1,13 +1,12 @@
 """Stochastic profile synthesis: resampling exactness, Monte-Carlo
-statistics, determinism, bounds and CSV I/O."""
+statistics, determinism and bounds."""
 
 import numpy as np
 import pytest
 
-from gridfreq.profiles import (ProfileError, make_load_profile,
-                               read_minute_csv, resample_wind, scale_wind,
-                               synthetic_minute_walk,
-                               synthetic_second_multiplier, write_second_csv)
+from gridfreq.profiles import (ProfileError, make_load_profile, resample_wind,
+                               scale_wind, synthetic_minute_walk,
+                               synthetic_second_multiplier)
 
 
 class TestResampleWind:
@@ -107,32 +106,3 @@ class TestSyntheticSources:
         assert s.min() >= 0.8
         assert s.max() <= 1.2
         assert abs(s.mean() - 1.0) < 0.05
-
-
-class TestCsvIo:
-    def test_roundtrip(self, tmp_path):
-        p = tmp_path / "out.csv"
-        write_second_csv(np.array([0.25, 0.5, 0.75]), p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "second,value_pu"
-        assert lines[1] == "0,0.25"
-        write_second_csv(np.array([200.0]), p, unit="mw")
-        assert p.read_text().splitlines() == ["second,value_mw", "0,200"]
-
-    def test_read_minute_csv_skips_header_and_comments(self, tmp_path):
-        p = tmp_path / "mins.csv"
-        p.write_text("timestamp,value\n# comment\n0,0.5\n60,0.75\n")
-        got = read_minute_csv(p)
-        assert np.allclose(got, [0.5, 0.75])
-
-    def test_read_minute_csv_bad_value(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("0,0.5\n60,oops\n")
-        with pytest.raises(ProfileError, match="bad value"):
-            read_minute_csv(p)
-
-    def test_read_minute_csv_checks_bounds(self, tmp_path):
-        p = tmp_path / "high.csv"
-        p.write_text("0,0.5\n60,1.5\n")
-        with pytest.raises(ProfileError, match="lie in"):
-            read_minute_csv(p)

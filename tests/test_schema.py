@@ -28,7 +28,7 @@ from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError, SimParam
                              step_system)
 from gridfreq.grid import GridConfigError, IslandingError
 
-from conftest import FLAT, four_bus_doc, two_bus_doc
+from tests.conftest import FLAT, four_bus_doc, two_bus_doc
 
 TRIPPED = "G4"
 # dt_s 0.05 keeps the 600-s default horizon, when a mutation drops
