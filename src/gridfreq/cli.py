@@ -1,7 +1,7 @@
 """Command-line driver: batch scenario runs, comparisons, validation.
 
 Subcommands:
-    run             run scenarios from a manifest (or flags) and export results
+    run             run scenarios on one grid and export results
     compare         compare two metrics JSON files
     validate        validate a grid config and scenario files
 
@@ -15,7 +15,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import engine, grid, metrics, schema
+from . import engine, grid, metrics
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -52,45 +52,16 @@ def _load_inputs(grid_spec: str, scenario_paths: list[str], seed: int | None = N
 # run
 # ---------------------------------------------------------------------------
 
-def _run_inputs(args) -> dict:
-    """The flags given, then the manifest's keys, each checked as a manifest."""
-    flags = {"grid": args.grid, "scenarios": args.scenario, "output_dir": args.out,
-             "seed": args.seed}
-    run = schema.check(schema.MANIFEST, {k: v for k, v in flags.items() if v is not None},
-                       "arguments", engine.ScenarioError)
-    if args.manifest:
-        given = [flag for flag, v in (("--grid", args.grid), ("--scenario", args.scenario),
-                                      ("--seed", args.seed)) if v is not None]
-        if given:
-            raise engine.ScenarioError(f"{' and '.join(given)} cannot be combined with "
-                                       f"--manifest; set it in the manifest")
-        doc = schema.check(schema.MANIFEST, schema.read_yaml(
-            args.manifest, "manifest", engine.ScenarioError), "manifest",
-            engine.ScenarioError)
-        # paths are relative to the manifest; the bundled grid is a name
-        here = Path(args.manifest).parent
-        doc["scenarios"] = [str(here / p) for p in doc.get("scenarios", [])]
-        if doc.get("grid", "ieee39") != "ieee39":
-            doc["grid"] = str(here / doc["grid"])
-        if "output_dir" in doc:
-            doc["output_dir"] = str(here / doc["output_dir"])
-        run.update(doc)
-    return run
-
-
 def cmd_run(args) -> int:
     try:
-        run = _run_inputs(args)
-        if not run.get("scenarios"):
-            raise engine.ScenarioError("no scenarios given (manifest.scenarios or "
-                                       "--scenario)")
-        model, scenarios = _load_inputs(run.get("grid", "ieee39"), run["scenarios"],
-                                        run.get("seed"))
+        if not args.scenario:
+            raise engine.ScenarioError("no scenarios given (--scenario)")
+        model, scenarios = _load_inputs(args.grid, args.scenario, args.seed)
     except (grid.GridConfigError, engine.ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    outdir = Path(run["output_dir"])
+    outdir = Path(args.out)
     paths = (outdir, *(outdir / sc.name for sc in scenarios))
     try:    # every output directory before any compute, and none if one is a file
         for path in paths:
@@ -168,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run scenarios and export results")
-    p.add_argument("--manifest", help="YAML manifest (grid, scenarios, output_dir, seed)")
-    p.add_argument("--grid", help="grid config path or 'ieee39' (the default)")
+    p.add_argument("--grid", default="ieee39", help="grid config path or 'ieee39' (the default)")
     p.add_argument("--scenario", action="append", help="scenario YAML (repeatable)")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--seed", type=int, help="override the scenario seeds")

@@ -64,6 +64,10 @@ class Scenario:
         if self.steps_per_record < 1 or abs(dec - self.steps_per_record) > 1e-9 * dec:
             raise ScenarioError(f"scenario.output_dt_s: {self.output_dt_s} is not a "
                                 f"whole multiple of dt_s {self.dt_s}")
+        if self.n_steps % self.steps_per_record:
+            # the record stops at the last whole output step, so the tail is lost
+            raise ScenarioError(f"scenario.output_dt_s: {self.output_dt_s} does not "
+                                f"divide duration_s {self.duration_s}")
         for i, ev in enumerate(self.events):
             # an event fires before its step, and the last step is n_steps - 1
             if self.event_step(ev) >= self.n_steps:
@@ -499,13 +503,13 @@ def step_system(state: SystemState) -> dict:
     rhs = p_inj.copy()
     rhs[bus_on] += b_on * x0[0]
     theta = solve(rhs)
-    if not np.isfinite(theta).all():
+    if not np.logical_and.reduce(np.isfinite(theta)):
         raise IslandingError(f"network solve produced non-finite angles at "
                              f"t={state.clock:.2f}s")
     # B_aug is symmetric, so a member's row of angles times B_aug is B_aug
     # theta; one product per member, so a member's residual is its solo run's
-    residual = np.abs((state.per_member(theta)[:, None, :] @ state._b_aug)[:, 0]
-                      - state.per_member(rhs)).max(axis=1)
+    residual = np.maximum.reduce(np.abs((state.per_member(theta)[:, None, :] @ state._b_aug)[:, 0]
+                                        - state.per_member(rhs)), axis=1)
     np.maximum(state.max_residual, residual, out=state.max_residual)
 
     pe_sys0 = b_on * (x0[0] - theta[bus_on])
@@ -566,8 +570,8 @@ def step_system(state: SystemState) -> dict:
     # lossless DC bookkeeping: machine generation balances the net
     # non-machine injections exactly (Laplacian row sums are zero)
     balance_mw = inj.member_mw + state.per_member(pe_sys0).sum(axis=1) * base
-    return {"residual": float(residual.max()),
-            "balance_mw": float(np.abs(balance_mw).max())}
+    return {"residual": float(np.maximum.reduce(residual)),
+            "balance_mw": float(np.maximum.reduce(np.abs(balance_mw)))}
 
 
 def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:

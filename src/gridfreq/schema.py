@@ -3,8 +3,8 @@
 A table maps each key of a section to ``(kind, rule, required)``: the
 type its value must have (a number or a flag never from a string, a bool
 never as a number; ``[table]`` is a list of entries), and ``rule``,
-``(legal, text)`` or None.  Every loader of a grid, scenario, manifest or
-metrics document calls ``check``.
+``(legal, text)`` or None.  Every loader of a grid, scenario or metrics
+document calls ``check``.
 """
 
 import math
@@ -59,10 +59,6 @@ SCENARIO = {"name": (str, (lambda v: v not in ("", ".", "..") and "/" not in v,
             "events": ([EVENT], None, False), "duration_s": (Real, POSITIVE, False),
             "dt_s": (Real, POSITIVE, False), "seed": (Integral, NONNEGATIVE, False),
             "output_dt_s": (Real, FINITE, False)}
-MANIFEST = {"grid": (str, None, False),
-            "scenarios": (list, (lambda v: all(isinstance(p, str) for p in v),
-                                 "a list of paths"), False),
-            "output_dir": (str, None, False), "seed": (Integral, NONNEGATIVE, False)}
 METRICS_VERSION = 1            # of the metrics.json this program writes
 SHED_EVENT = dict.fromkeys(("trigger_s", "clear_s", "max_level"), (Real, FINITE, True))
 METRICS = {"r_ls": (Real, (lambda v: 0 <= v <= 0.5 + 1e-12, "in [0, 0.5]"), True),

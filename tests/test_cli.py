@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
-import os
 
 import pytest
 import yaml
@@ -97,38 +96,12 @@ class TestRun:
                                             tmp_path, capsys):
         out = tmp_path / "results"
         rc = main(["run", "--grid", str(grid_file),
-                   "--scenario", str(scenario_file), "--out", str(out)])
+                   "--scenario", str(scenario_file), "--out", str(out), "--seed", "9"])
         assert rc == EXIT_OK
         assert (out / "summary.txt").exists()
-        assert (out / "tiny" / "metrics.json").exists()
+        assert json.loads((out / "tiny" / "metrics.json").read_text())["seed"] == 9
         assert (out / "tiny" / "trajectory.csv").exists()
         assert "tiny" in capsys.readouterr().out
-
-    def test_run_via_manifest_with_seed(self, grid_file, scenario_file,
-                                        tmp_path):
-        manifest = tmp_path / "manifest.yaml"
-        out = tmp_path / "mout"
-        manifest.write_text(yaml.safe_dump({
-            "grid": str(grid_file), "scenarios": [scenario_file.name],
-            "output_dir": str(out), "seed": 9}))
-        assert main(["run", "--manifest", str(manifest)]) == EXIT_OK
-        doc = json.loads((out / "tiny" / "metrics.json").read_text())
-        assert doc["seed"] == 9
-
-    @pytest.mark.parametrize("flag, value", [("--seed", "5"),
-                                             ("--scenario", "other.yaml"),
-                                             ("--grid", "grid.yaml")])
-    def test_manifest_rejects_flags_it_would_ignore(self, grid_file,
-                                                    scenario_file, tmp_path,
-                                                    capsys, flag, value):
-        manifest = tmp_path / "manifest.yaml"
-        manifest.write_text(yaml.safe_dump({
-            "grid": str(grid_file), "scenarios": [scenario_file.name],
-            "output_dir": str(tmp_path / "mout")}))
-        rc = main(["run", "--manifest", str(manifest), flag, value])
-        assert rc == EXIT_VALIDATION
-        assert flag in capsys.readouterr().err
-        assert not (tmp_path / "mout").exists()
 
     def test_one_batch_per_schedule(self, scenario_file, tmp_path, monkeypatch):
         """An A/B pair with one trip runs as one batch and a scenario with
@@ -171,14 +144,15 @@ class TestRun:
     @pytest.mark.parametrize("removed, named", [
         pytest.param(["run", "--jobs", "0"], "--jobs", id="0"),
         pytest.param(["run", "--jobs", "-1"], "--jobs", id="-1"),
+        pytest.param(["run", "--manifest", "m.yaml"], "--manifest", id="manifest"),
         pytest.param(["synth-profiles", "--minutes", "2"], "synth-profiles",
                      id="synth-profiles"),
     ])
-    def test_jobs_below_one_exits_2(self, grid_file, scenario_file, tmp_path,
-                                    capsys, removed, named):
+    def test_removed_interface_exits_2(self, grid_file, scenario_file, tmp_path,
+                                       capsys, removed, named):
         """Removed interfaces are argparse errors that name themselves and
-        write nothing: run's --jobs option, whatever its value (the manifest
-        key is a row of test_schema), and the synth-profiles command."""
+        write nothing: run's --jobs option, whatever its value, run's
+        --manifest option, and the synth-profiles command."""
         out = tmp_path / "results"
         rest = {"run": ["--grid", str(grid_file), "--scenario", str(scenario_file),
                         "--out", str(out)],
@@ -262,20 +236,15 @@ class TestRun:
             assert "scenario.name" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.yaml", "sc.yaml"]
 
-    def test_manifest_paths_relative_to_the_manifest(self, grid_file, scenario_file,
-                                                      tmp_path, monkeypatch):
-        """grid, scenarios and output_dir are read beside the manifest, not
-        in the working directory; an absolute path is kept."""
-        manifest = tmp_path / "manifest.yaml"
-        manifest.write_text(yaml.safe_dump({
-            "grid": grid_file.name, "scenarios": [str(scenario_file)],
-            "output_dir": "mout"}))
-        elsewhere = tmp_path / "elsewhere"
-        elsewhere.mkdir()
-        monkeypatch.chdir(elsewhere)
-        assert main(["run", "--manifest", os.path.relpath(manifest)]) == EXIT_OK
-        assert (tmp_path / "mout" / "tiny" / "metrics.json").exists()
-        assert not list(elsewhere.iterdir())
+    def test_negative_seed_flag_exits_2(self, grid_file, scenario_file, tmp_path,
+                                        capsys):
+        """--seed overrides each scenario's seed, so the scenario checks it."""
+        out = tmp_path / "results"
+        rc = main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
+                   "--seed", "-1", "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "scenario.seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_without_scenarios_exits_2(self, capsys):
         assert main(["run"]) == EXIT_VALIDATION

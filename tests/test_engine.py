@@ -87,10 +87,13 @@ class TestScenario:
         Scenario(name="x", case="A", duration_s=315.0, dt_s=0.005)
 
     def test_output_step_must_be_whole_multiple_of_dt(self):
-        for out in (0.015, 0.005, 0.0):
-            with pytest.raises(ScenarioError, match="whole multiple"):
+        """output_dt_s must also divide duration_s, or the record loses its tail."""
+        for out, naming in ((0.015, "whole multiple"), (0.005, "whole multiple"),
+                            (0.0, "whole multiple"), (0.3, "does not divide"),
+                            (20.0, "does not divide")):
+            with pytest.raises(ScenarioError, match=rf"output_dt_s: .*{naming}"):
                 Scenario(name="x", case="A", duration_s=10.0, output_dt_s=out)
-        Scenario(name="x", case="A", duration_s=10.0, output_dt_s=0.3)
+        Scenario(name="x", case="A", duration_s=10.0, output_dt_s=0.25)
 
     def test_validate_against_unknown_generator(self, four_bus):
         sc = Scenario(name="x", case="A", duration_s=10.0,

@@ -1,17 +1,15 @@
 """One schema per input: ``gridfreq validate`` and ``gridfreq run`` accept
-exactly the same grid and scenario documents, and ``run`` and ``compare``
-reject a bad manifest or metrics document with the validation exit code,
-naming the section (with its index) and the key.
+exactly the same grid and scenario documents, and ``compare`` rejects a bad
+metrics document with the validation exit code, naming the section (with
+its index) and the key.
 
-The property test mutates the bundled grid, a 1-s scenario with one trip
-and a run manifest, one key at a time, and runs both commands in-process.
+The property test mutates the bundled grid and a 1-s scenario with one
+trip, one key at a time, and runs both commands in-process.
 """
 
-import contextlib
 import copy
 import json
 import math
-import os
 import tempfile
 from importlib.resources import files
 from pathlib import Path
@@ -35,30 +33,15 @@ TRIPPED = "G4"
 # duration_s, to 12,000 steps
 SCENARIO = {"name": "one", "case": "B", "duration_s": 1.0, "dt_s": 0.05, "seed": 1,
             "output_dt_s": 0.1, "events": [{"time_s": 0.5, "generator": TRIPPED}]}
-MANIFEST = {"grid": "grid.yaml", "scenarios": ["sc.yaml"], "output_dir": "out",
-            "seed": 1}
-
-
-@contextlib.contextmanager
-def inside(path):
-    """Work in ``path``: a manifest that drops output_dir writes to the
-    default --out, which is relative to the working directory."""
-    cwd = os.getcwd()
-    os.chdir(path)
-    try:
-        yield
-    finally:
-        os.chdir(cwd)
 
 
 def bundled_grid() -> dict:
     return yaml.safe_load(files("gridfreq.data").joinpath("ieee39.yaml").read_text())
 
 
-def write_inputs(where: Path, grid=None, scenario=None, manifest=None) -> None:
+def write_inputs(where: Path, grid=None, scenario=None) -> None:
     for name, doc in (("grid.yaml", grid or bundled_grid()),
-                      ("sc.yaml", scenario or SCENARIO),
-                      ("manifest.yaml", manifest or MANIFEST)):
+                      ("sc.yaml", scenario or SCENARIO)):
         (where / name).write_text(yaml.safe_dump(doc))
 
 
@@ -148,23 +131,12 @@ class TestGridHoles:
             SimParams(**{key: value})
 
 
-class TestManifestHoles:
-    @pytest.mark.parametrize("doc, naming", [
-        ({**MANIFEST, "job": 2}, "manifest.job: unknown key"),
-        ({**MANIFEST, "output": "elsewhere"}, "manifest.output: unknown key"),
-        ({**MANIFEST, "jobs": "x"}, "manifest.jobs: unknown key"),
-        ([MANIFEST], "manifest: expected a mapping, got list")])
-    def test_bad_manifest_exits_2(self, capsys, tmp_path, doc, naming):
-        write_inputs(tmp_path)
-        (tmp_path / "manifest.yaml").write_text(yaml.safe_dump(doc))
-        with inside(tmp_path):
-            assert main(["run", "--manifest", "manifest.yaml"]) == EXIT_VALIDATION
-        assert naming in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_missing_manifest_exits_2(self, capsys, tmp_path):
-        assert main(["run", "--manifest", str(tmp_path / "none.yaml")]) == EXIT_VALIDATION
-        assert "manifest: cannot read" in capsys.readouterr().err
+class TestScenarioHoles:
+    def test_output_step_not_dividing_the_horizon_exits_2(self, capsys, tmp_path):
+        """The record stopped at the last whole output step: at 0.15 s on a
+        1-s horizon the run ended its record at 0.9 s without a word."""
+        both_exit_2(capsys, tmp_path, "scenario.output_dt_s: 0.15 does not divide",
+                    scenario={**SCENARIO, "output_dt_s": 0.15})
 
 
 class TestAllUnitsTripped:
@@ -248,7 +220,7 @@ def sites(doc: dict, path: tuple = ()):
                     yield from sites(item, path + (key, i))
 
 
-DOCS = {"grid": bundled_grid(), "scenario": SCENARIO, "manifest": MANIFEST}
+DOCS = {"grid": bundled_grid(), "scenario": SCENARIO}
 SITES = {name: list(sites(doc)) for name, doc in DOCS.items()}
 MUTATIONS = ("drop", "rename", "retype", 0, -1, math.nan, math.inf, "x")
 
@@ -281,9 +253,6 @@ def blamed(name: str, path: tuple, key, how) -> list[str]:
         return ["expected_wind_total_mw", "wind_mw"]
     section = (f"{path[-2]}[{path[-1]}]" if path and isinstance(path[-1], int)
                else path[-1] if path else name)
-    # a file the manifest names is reported by the loader that reads it
-    if name == "manifest" and key == "grid" and how == "x":
-        section = "grid"
     return [section, f"{key}_x" if how == "rename" else key]
 
 
@@ -299,21 +268,13 @@ def mutations(draw):
 @given(mutations())
 def test_validate_and_run_accept_the_same_documents(capsys, mutation):
     """If ``validate`` exits 0, ``run`` exits 0 and writes metrics.json;
-    otherwise both exit 2 and name the section and the key.  ``validate``
-    reads no manifest, so a manifest mutation leaves ``run`` alone to exit 0
-    or 2."""
+    otherwise both exit 2 and name the section and the key."""
     name, path, key, how = mutation
-    docs = {"grid": None, "scenario": None, "manifest": None,
-            name: mutated(DOCS[name], path, key, how)}
     capsys.readouterr()
-    with tempfile.TemporaryDirectory() as tmp, inside(tmp):
+    with tempfile.TemporaryDirectory() as tmp:
         where = Path(tmp)
-        write_inputs(where, **docs)
-        if name == "manifest":
-            rc_run = main(["run", "--manifest", "manifest.yaml"])
-            rc_validate, err = rc_run, capsys.readouterr().err
-        else:
-            rc_validate, rc_run, err = validate_and_run(capsys, where)
+        write_inputs(where, **{name: mutated(DOCS[name], path, key, how)})
+        rc_validate, rc_run, err = validate_and_run(capsys, where)
         if rc_validate == EXIT_OK:
             assert rc_run == EXIT_OK, err
             assert list(where.rglob("metrics.json"))
