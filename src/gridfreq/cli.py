@@ -26,18 +26,19 @@ def _load_inputs(grid_spec: str, scenario_paths: list[str], seed: int | None = N
     """The grid model and the scenarios, after every check that a run makes
     before its first step; raises ``GridConfigError`` or ``ScenarioError``."""
     model = grid.ieee39() if grid_spec == "ieee39" else grid.load_grid_config(grid_spec)
-    params = engine.SimParams.from_model(model)
-    engine._resolve_error_cdf(params)
-    engine.operating_point(model, params)
+    engine.operating_point(model, engine.SimParams.from_model(model))
     scenarios = []
     for p in scenario_paths:
         try:
             sc = engine.load_scenario(p)
-            if seed is not None:
-                sc = dataclasses.replace(sc, seed=seed)
             sc.validate_against(model)
         except engine.ScenarioError as exc:
             raise engine.ScenarioError(f"{p}: {exc}") from None
+        if seed is not None:
+            try:
+                sc = dataclasses.replace(sc, seed=seed)
+            except engine.ScenarioError as exc:
+                raise engine.ScenarioError(f"--seed: {exc}") from None
         scenarios.append(sc)
     # each scenario writes into the directory of its name
     names = [sc.name for sc in scenarios]

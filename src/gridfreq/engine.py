@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from . import dispatch as dispatch_mod
 from . import machines as mach
-from .grid import (GridModel, GridConfigError, IslandingError,
+from .grid import (GridModel, IslandingError,
                    build_full_susceptance_matrix, solve_dc_flow)
 from .profiles import (ProfileError, resample_wind, scale_wind, make_load_profile,
                        synthetic_minute_walk, synthetic_second_multiplier)
@@ -73,6 +73,9 @@ class Scenario:
             if self.event_step(ev) >= self.n_steps:
                 raise ScenarioError(f"scenario.events[{i}].time_s: {ev.time_s} s is "
                                     f"outside horizon {self.duration_s} s")
+            if any(e.generator == ev.generator for e in self.events[:i]):
+                raise ScenarioError(f"scenario.events[{i}].generator: {ev.generator} "
+                                    f"is tripped by an earlier event")
 
     @property
     def n_steps(self) -> int:
@@ -133,7 +136,6 @@ class SimParams:
     load_slow_sigma: float = 0.004      # load multiplier minute-walk std
     load_fast_sigma: float = 0.002      # load multiplier per-second std
     ufls_enabled: bool = True
-    error_cdf: str = "placeholder"  # 'placeholder' | 'zero' | CSV path
 
     def __post_init__(self):
         check(SIMULATION, vars(self), "simulation")
@@ -179,7 +181,7 @@ def build_profiles(model: GridModel, scenario: Scenario,
     load_mw: dict[int, np.ndarray] = {}
     eps: dict[int, np.ndarray] = {}
 
-    cdf = _resolve_error_cdf(params)
+    cdf = dispatch_mod.placeholder_error_cdf()
 
     for b in model.buses:
         if b.wind_mw is not None:
@@ -201,17 +203,6 @@ def build_profiles(model: GridModel, scenario: Scenario,
             eps[b.id] = cdf.sample(rng, n_seconds)
 
     return ProfileSet(wind_mw=wind_mw, load_mw=load_mw, battery_eps=eps)
-
-
-def _resolve_error_cdf(params: SimParams) -> dispatch_mod.ErrorCdf:
-    if params.error_cdf == "zero":
-        return dispatch_mod.zero_error_cdf()
-    if params.error_cdf == "placeholder":
-        return dispatch_mod.placeholder_error_cdf()
-    try:
-        return dispatch_mod.ErrorCdf.from_csv(params.error_cdf)
-    except (OSError, dispatch_mod.CdfError) as exc:
-        raise GridConfigError(f"simulation.error_cdf: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +573,7 @@ def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
         raise ScenarioError(f"unknown generator {event.generator}")
     g = ids.index(event.generator)
     if not state.online[g]:
-        logger.warning("generator %s already offline; trip ignored",
-                       event.generator)
-        return
+        raise ScenarioError(f"generator {event.generator} is already offline")
     n_gen = len(gens)
     if np.count_nonzero(state.online[:n_gen]) == 1:
         raise IslandingError(f"trip of {event.generator} leaves no unit online")

@@ -158,12 +158,8 @@ def load_grid_config(source: str | Path | dict) -> GridModel:
             raise GridConfigError(f"grid.generators[{i}].bus: bus {g['bus']} {why}")
         gens_by_bus[g["bus"]] = GeneratorSpec(id=g["id"], bus=g["bus"], kind=g["type"],
                                               rating_mva=g["rating_mva"])
-    lines = []
-    for i, ln in enumerate(doc["lines"]):
-        if ("b" in ln) == ("x" in ln):
-            raise GridConfigError(f"grid.lines[{i}]: needs 'b' or 'x', not both")
-        lines.append(LineSpec(from_bus=ln["from"], to_bus=ln["to"],
-                              susceptance=ln["b"] if "b" in ln else 1.0 / ln["x"]))
+    lines = [LineSpec(from_bus=ln["from"], to_bus=ln["to"], susceptance=1.0 / ln["x"])
+             for ln in doc["lines"]]
     return GridModel(
         buses=tuple(BusSpec(id=b["id"], generator=gens_by_bus.get(b["id"]),
                             wind_mw=b.get("wind_mw"), load_mw=b.get("load_mw"),

@@ -7,8 +7,8 @@ cumulative sum is anchored at the minute's starting value.  Load
 profiles are per-unit multipliers around the forecast.  Every profile
 is synthesized from a seed (``engine.build_profiles`` derives one per
 scenario seed, bus and purpose), none is read from a file, and each
-replays bit-identically; the battery error CDF
-(``simulation.error_cdf``) is the one stochastic input read from a file.
+replays bit-identically.  The battery tracking error is drawn the same
+way, from ``dispatch.placeholder_error_cdf``.
 """
 
 from __future__ import annotations

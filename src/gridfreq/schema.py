@@ -35,8 +35,7 @@ BUS = {"id": (Integral, COUNT, True),
        "load_mw": (Real, POSITIVE, False),        # forecast load
        "dispatched": (bool, None, False)}
 LINE = {"from": (Integral, COUNT, True), "to": (Integral, COUNT, True),
-        "x": (Real, POSITIVE, False),             # series reactance, p.u., or
-        "b": (Real, POSITIVE, False)}             # susceptance: one of the two
+        "x": (Real, POSITIVE, True)}              # series reactance, p.u.
 GRID = {"base_mva": (Real, POSITIVE, False), "f0": (Real, POSITIVE, False),
         "slack_bus": (Integral, COUNT, False),
         "expected_wind_total_mw": (Real, NONNEGATIVE, False),
@@ -49,8 +48,7 @@ SIMULATION = {  # the SimParams fields
                      "wind_resample_sigma", "load_slow_sigma", "load_fast_sigma"),
                     (Real, NONNEGATIVE, False)),
     "wind_schedule_pu": (Real, (lambda v: 0 <= v <= 1, "in [0, 1]"), False),
-    "ufls_enabled": (bool, None, False),
-    "error_cdf": (str, None, False)}              # 'placeholder' | 'zero' | CSV path
+    "ufls_enabled": (bool, None, False)}
 EVENT = {"time_s": (Real, NONNEGATIVE, True), "generator": (str, None, True)}
 SCENARIO = {"name": (str, (lambda v: v not in ("", ".", "..") and "/" not in v,
                            "one path component (not '', '.' or '..', and no '/')"),

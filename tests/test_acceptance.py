@@ -195,13 +195,20 @@ class TestResampler:
 # 4. dispatched-bus compensation identity
 # ---------------------------------------------------------------------------
 
+def ideal_tracking(model, sc, params):
+    """The scenario's profiles with the battery tracking error set to zero."""
+    prof = build_profiles(model, sc, params)
+    return dataclasses.replace(prof, battery_eps={
+        bus: np.zeros_like(eps) for bus, eps in prof.battery_eps.items()})
+
+
 class TestDispatchIdentity:
     def test_net_injection_equals_schedule_under_ideal_tracking(self, ieee39):
         """Case B with zero tracking error: every dispatched bus's net
         injection sits on its schedule at every second, to 1e-9 MW."""
-        params = SimParams.from_model(ieee39, error_cdf="zero")
+        params = SimParams.from_model(ieee39)
         sc = Scenario(name="ident", case="B", duration_s=30, seed=7)
-        prof = build_profiles(ieee39, sc, params)
+        prof = ideal_tracking(ieee39, sc, params)
         from gridfreq.dispatch import ideal_battery_injection
         checked = 0
         for b in ieee39.buses:
@@ -223,9 +230,10 @@ class TestDispatchIdentity:
 
     def test_trajectory_batteries_track_schedule(self, ieee39):
         """Same identity read back from a recorded run."""
-        params = SimParams.from_model(ieee39, error_cdf="zero")
+        params = SimParams.from_model(ieee39)
         sc = Scenario(name="ident2", case="B", duration_s=10, seed=11)
-        tr = run_scenario(ieee39, sc, params=params)
+        tr = run_scenario(ieee39, sc, params=params,
+                          profiles=ideal_tracking(ieee39, sc, params))
         sched = {}
         for b in ieee39.buses:
             if b.dispatched:

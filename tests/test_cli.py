@@ -238,12 +238,15 @@ class TestRun:
 
     def test_negative_seed_flag_exits_2(self, grid_file, scenario_file, tmp_path,
                                         capsys):
-        """--seed overrides each scenario's seed, so the scenario checks it."""
+        """--seed overrides each scenario's seed, so the scenario checks it;
+        the error names the flag, not the file, whose own seed is fine."""
         out = tmp_path / "results"
         rc = main(["run", "--grid", str(grid_file), "--scenario", str(scenario_file),
                    "--seed", "-1", "--out", str(out)])
         assert rc == EXIT_VALIDATION
-        assert "scenario.seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed: scenario.seed: -1")
+        assert str(scenario_file) not in err
         assert not out.exists()
 
     def test_run_without_scenarios_exits_2(self, capsys):

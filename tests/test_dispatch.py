@@ -6,8 +6,7 @@ import pytest
 from scipy import stats
 
 from gridfreq.dispatch import (CdfError, ErrorCdf, ideal_battery_injection,
-                               perturb_injection, placeholder_error_cdf,
-                               zero_error_cdf)
+                               perturb_injection, placeholder_error_cdf)
 
 
 class TestBatteryAlgebra:
@@ -49,12 +48,8 @@ class TestErrorCdf:
             ErrorCdf(eps=np.array([0.0, 0.1]), prob=np.array([0.1, 1.0]))
         with pytest.raises(CdfError):
             ErrorCdf(eps=np.array([]), prob=np.array([]))
-
-    def test_zero_cdf_samples_zero(self):
-        cdf = zero_error_cdf()
-        rng = np.random.default_rng(1)
-        xs = cdf.sample(rng, 100)
-        assert xs.shape == (100,) and np.all(xs == 0.0)
+        with pytest.raises(CdfError, match="at least two breakpoints"):
+            ErrorCdf(eps=np.array([0.0]), prob=np.array([1.0]))
 
     def test_inverse_transform_matches_cdf_ks(self):
         """Empirical distribution of samples vs the piecewise-linear CDF
@@ -85,27 +80,3 @@ class TestErrorCdf:
         xs = cdf.sample(rng, 50000)
         assert abs(xs.mean()) < 3 * 0.015 / np.sqrt(50000)
         assert xs.min() >= -0.05 and xs.max() <= 0.05
-
-    def test_from_csv(self, tmp_path):
-        p = tmp_path / "cdf.csv"
-        p.write_text("eps,prob\n-0.1,0\n0,0.5\n0.1,1\n")
-        cdf = ErrorCdf.from_csv(p)
-        assert np.allclose(cdf.eps, [-0.1, 0.0, 0.1])
-        assert np.allclose(cdf.prob, [0.0, 0.5, 1.0])
-
-    @pytest.mark.parametrize("rows", ["-0.1,0\ninf,1\n",
-                                      "-0.1,0\n0,nan\n0.1,1\n",
-                                      "-inf,0\n0.1,1\n"])
-    def test_from_csv_rejects_non_finite(self, tmp_path, rows):
-        """An infinite breakpoint would be sampled and fail mid-run; a NaN
-        probability passes the ordering checks, which compare False."""
-        p = tmp_path / "cdf.csv"
-        p.write_text(rows)
-        with pytest.raises(CdfError, match="finite"):
-            ErrorCdf.from_csv(p)
-
-    def test_from_csv_bad_row(self, tmp_path):
-        p = tmp_path / "cdf.csv"
-        p.write_text("-0.1,0\nnot,a,number\n")
-        with pytest.raises(CdfError):
-            ErrorCdf.from_csv(p)

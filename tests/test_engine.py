@@ -13,8 +13,9 @@ import pytest
 
 import gridfreq as gf
 from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError,
-                             SimParams, Trajectory, build_profiles, init_system,
-                             load_scenario, run_scenario, step_system)
+                             SimParams, Trajectory, apply_contingency,
+                             build_profiles, init_system, load_scenario,
+                             run_scenario, step_system)
 from gridfreq.grid import GridConfigError
 from gridfreq.profiles import ProfileError
 
@@ -226,7 +227,6 @@ class TestInitAndStep:
     def test_power_bookkeeping_lossless(self, ieee39):
         """Machine generation balances wind + battery - served load at
         every step (DC network conserves power): < 1e-9 p.u. of base."""
-        from gridfreq.engine import apply_contingency
         p = SimParams.from_model(ieee39)
         sc = Scenario(name="bk", case="B", duration_s=10, seed=3)
         prof = build_profiles(ieee39, sc, p)
@@ -244,7 +244,6 @@ class TestInitAndStep:
         commits, and the online machines' values until a trip: after every
         step of a shedding run with a trip and commits inside a second,
         what the next step reuses equals a rebuild from scratch."""
-        from gridfreq.engine import apply_contingency
         p = SimParams.from_model(ieee39)
         sc = Scenario(name="c", case="B", duration_s=8, seed=1)
         st = init_system(ieee39, [sc], p, [build_profiles(ieee39, sc, p)])
@@ -272,17 +271,24 @@ class TestInitAndStep:
         assert not st.online[[3, 5]].any()
         assert mid_second_commits >= 1
 
-    def test_contingency_trips_and_warns_on_double_trip(self, ieee39, caplog):
+    def test_contingency_trips_and_a_second_trip_raises(self, ieee39):
+        """A schedule names each unit once; a second trip of a unit that is
+        already offline raises instead of being dropped mid-run."""
         p = quick_params(ieee39)
+        with pytest.raises(ScenarioError,
+                           match=r"scenario\.events\[1\]\.generator: G4 is tripped"):
+            Scenario(name="trip", case="A", duration_s=8, seed=1,
+                     events=(ContingencyEvent(2.0, "G4"), ContingencyEvent(3.0, "G4")))
         sc = Scenario(name="trip", case="A", duration_s=8, seed=1,
-                      events=(ContingencyEvent(2.0, "G4"),
-                              ContingencyEvent(3.0, "G4")))
-        with caplog.at_level("WARNING"):
-            tr = run_scenario(ieee39, sc, params=p)
+                      events=(ContingencyEvent(2.0, "G4"),))
+        tr = run_scenario(ieee39, sc, params=p)
         j = tr.gen_ids.index("G4")
         assert tr.gen_online[0, j] == 1.0
         assert tr.gen_online[-1, j] == 0.0
-        assert "already offline" in caplog.text
+        st = init_system(ieee39, [sc], p, [build_profiles(ieee39, sc, p)])
+        apply_contingency(st, ContingencyEvent(2.0, "G4"))
+        with pytest.raises(ScenarioError, match="G4 is already offline"):
+            apply_contingency(st, ContingencyEvent(3.0, "G4"))
 
     def test_trip_before_first_step(self, four_bus):
         """G2 is the only hydro unit and trips before any governor step
@@ -297,7 +303,6 @@ class TestInitAndStep:
         assert np.all(np.isfinite(tr.bus_freq))
 
     def test_unknown_generator_trip_raises(self, four_bus):
-        from gridfreq.engine import apply_contingency
         p = quick_params(four_bus)
         sc = Scenario(name="x", case="A", duration_s=5)
         prof = build_profiles(four_bus, sc, p)

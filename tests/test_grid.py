@@ -30,15 +30,11 @@ class TestConfigValidation:
     def test_line_x_is_inverted(self, two_bus):
         assert two_bus.lines[0].susceptance == pytest.approx(50.0)
 
-    def test_line_b_taken_directly(self):
-        doc = two_bus_doc()
-        doc["lines"] = [{"from": 1, "to": 2, "b": 12.5}]
-        assert load_grid_config(doc).lines[0].susceptance == 12.5
-
     def test_line_needs_b_or_x(self):
         doc = two_bus_doc()
         doc["lines"] = [{"from": 1, "to": 2}]
-        with pytest.raises(GridConfigError, match="needs 'b' or 'x'"):
+        with pytest.raises(GridConfigError,
+                           match=r"grid\.lines\[0\]: missing required key 'x'"):
             load_grid_config(doc)
 
     def test_nonpositive_reactance_rejected(self):
@@ -117,12 +113,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("section, key", [("generators", "rating_mva"),
                                               ("buses", "load_mw"),
-                                              ("lines", "x"), ("lines", "b")])
+                                              ("lines", "x")])
     def test_nonfinite_value_rejected(self, section, key, value):
         doc = two_bus_doc()
-        entry = doc[section][-1]
-        entry.pop("x", None)
-        entry[key] = value
+        doc[section][-1][key] = value
         with pytest.raises(GridConfigError, match="positive and finite"):
             load_grid_config(doc)
 

@@ -80,7 +80,9 @@ class TestGridHoles:
         ("droop", 0, "simulation.droop: 0.0 is not positive"),
         ("h_hydro", 0, "simulation.h_hydro: 0.0 is not positive"),
         ("load_scale", 3.0, "simulation.load_scale: hydro set-point"),
+        # removed: every run samples the placeholder tracking-error CDF
         ("error_cdf", "no_such_cdf.csv", "simulation.error_cdf:"),
+        ("error_cdf", "zero", "simulation.error_cdf: unknown key"),
         ("ufls_enabled", "no", "simulation.ufls_enabled: expected bool"),
         ("reserve_fraction", -0.5, "simulation.reserve_fraction: -0.5 is not non-negative"),
     ])
@@ -110,9 +112,10 @@ class TestGridHoles:
             gf.load_grid_config(doc)
 
     def test_line_with_both_b_and_x_rejected(self):
+        """A line states its reactance ``x``; ``b`` is not a line key."""
         doc = two_bus_doc()
         doc["lines"][0]["b"] = 12.5
-        with pytest.raises(GridConfigError, match=r"grid\.lines\[0\]: needs 'b' or 'x'"):
+        with pytest.raises(GridConfigError, match=r"grid\.lines\[0\]\.b: unknown key"):
             gf.load_grid_config(doc)
 
     @pytest.mark.parametrize("generators, naming", [
@@ -125,7 +128,7 @@ class TestGridHoles:
             gf.load_grid_config({**two_bus_doc(), "generators": generators})
 
     @pytest.mark.parametrize("key, value", [("damping", math.nan), ("droop", math.inf),
-                                            ("ufls_enabled", 1), ("error_cdf", 3)])
+                                            ("ufls_enabled", 1)])
     def test_sim_params_from_python_checked(self, key, value):
         with pytest.raises(GridConfigError, match=rf"simulation\.{key}"):
             SimParams(**{key: value})
