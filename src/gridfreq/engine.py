@@ -69,6 +69,10 @@ class Scenario:
             raise ScenarioError(f"scenario.output_dt_s: {self.output_dt_s} does not "
                                 f"divide duration_s {self.duration_s}")
         for i, ev in enumerate(self.events):
+            at = ev.time_s / self.dt_s
+            if abs(at - self.event_step(ev)) > 1e-9 * at:
+                raise ScenarioError(f"scenario.events[{i}].time_s: {ev.time_s} s is not a "
+                                    f"whole multiple of dt_s {self.dt_s}")
             # an event fires before its step, and the last step is n_steps - 1
             if self.event_step(ev) >= self.n_steps:
                 raise ScenarioError(f"scenario.events[{i}].time_s: {ev.time_s} s is "
@@ -159,7 +163,7 @@ class ProfileSet:
 
     wind_mw: dict[int, np.ndarray]         # realized wind per wind bus
     load_mw: dict[int, np.ndarray]         # realized (pre-shed) load per load bus
-    battery_eps: dict[int, np.ndarray]     # per dispatched bus, per second
+    battery_eps: dict[int, np.ndarray]     # per dispatched bus, in case A too
 
     def fingerprint(self) -> str:
         """Hash of the stochastic wind/load realizations (seed-pairing check)."""
@@ -181,8 +185,6 @@ def build_profiles(model: GridModel, scenario: Scenario,
     load_mw: dict[int, np.ndarray] = {}
     eps: dict[int, np.ndarray] = {}
 
-    cdf = dispatch_mod.placeholder_error_cdf()
-
     for b in model.buses:
         if b.wind_mw is not None:
             src = synthetic_minute_walk(
@@ -200,7 +202,7 @@ def build_profiles(model: GridModel, scenario: Scenario,
             load_mw[b.id] = make_load_profile(mult, b.load_mw * params.load_scale)
         if b.dispatched:
             rng = np.random.default_rng(_bus_seed(scenario.seed, b.id, 4))
-            eps[b.id] = cdf.sample(rng, n_seconds)
+            eps[b.id] = dispatch_mod.sample_tracking_error(rng, n_seconds)
 
     return ProfileSet(wind_mw=wind_mw, load_mw=load_mw, battery_eps=eps)
 
@@ -333,13 +335,20 @@ class SystemState:
 # initialization
 # ---------------------------------------------------------------------------
 
-def _per_second(values: list[np.ndarray], n_seconds: int) -> np.ndarray:
-    out = np.empty((n_seconds, len(values)))
-    for j, v in enumerate(values):
-        if v.ndim != 1 or len(v) < n_seconds or not np.isfinite(v[:n_seconds]).all():
-            raise ProfileError(f"a profile needs {n_seconds} finite 1-s samples "
-                               f"in one dimension, got shape {v.shape}")
-        out[:, j] = v[:n_seconds]
+def _per_second(profiles: list[ProfileSet], kind: str, buses: list[int],
+                n_seconds: int) -> np.ndarray:
+    """The ``kind`` series of ``buses``, a column per member and bus, member-major;
+    ``ProfileError`` names the first one missing, short, not 1-D or not finite."""
+    out = np.empty((n_seconds, len(profiles) * len(buses)))
+    for m, prof in enumerate(profiles):
+        for j, bus in enumerate(buses):
+            v = getattr(prof, kind).get(bus)
+            if v is None:
+                raise ProfileError(f"profiles.{kind}[{bus}]: missing")
+            if v.ndim != 1 or len(v) < n_seconds or not np.isfinite(v[:n_seconds]).all():
+                raise ProfileError(f"profiles.{kind}[{bus}]: needs {n_seconds} finite "
+                                   f"1-s samples in one dimension, got shape {v.shape}")
+            out[:, m * len(buses) + j] = v[:n_seconds]
     return out
 
 
@@ -369,7 +378,9 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
 
     The members step together, so their scenarios must share one
     ``Scenario.schedule`` and name only generators of ``model``;
-    otherwise this raises ``ScenarioError``.  The forecast operating point
+    otherwise this raises ``ScenarioError``.  A profile series of a load,
+    wind or dispatched bus that is missing, short or not finite raises
+    ``ProfileError`` before any is read.  The forecast operating point
     depends only on the grid and the parameters, so every member starts
     from the same equilibrium.
     """
@@ -423,18 +434,21 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
                             gov=gov_init(np.full(n_members * len(units), loading),
                                          bank_params, reserve))
 
-    # per-second non-machine injections; batteries act in case B only
+    # per-second series, all checked before any is read; batteries act in case B only
     n_seconds = scenarios[0].n_seconds
     dispatched = [b.id for b in model.buses if b.dispatched]
-    battery = np.zeros((n_seconds, n_members * len(dispatched)))
+    load_mw = _per_second(profiles, "load_mw", [b.id for b in model.load_buses], n_seconds)
+    wind_mw = _per_second(profiles, "wind_mw", [b.id for b in model.wind_buses], n_seconds)
+    eps = _per_second(profiles, "battery_eps", dispatched, n_seconds)
+    battery = np.zeros_like(eps)
     for m, (sc, prof) in enumerate(zip(scenarios, profiles)):
         for j, bus in enumerate(dispatched if sc.case == "B" else ()):
-            w_ts = prof.wind_mw[bus][:n_seconds] if bus in prof.wind_mw else 0.0
-            l_ts = prof.load_mw[bus][:n_seconds] if bus in prof.load_mw else 0.0
+            w_ts = prof.wind_mw[bus][:n_seconds] if bus in wind_sched else 0.0
+            l_ts = prof.load_mw[bus][:n_seconds] if bus in load_sched else 0.0
             b_star = dispatch_mod.ideal_battery_injection(
                 wind_sched.get(bus, 0.0), load_sched.get(bus, 0.0), w_ts, l_ts)
-            battery[:, m * len(dispatched) + j] = dispatch_mod.perturb_injection(
-                b_star, prof.battery_eps[bus][:n_seconds])
+            col = m * len(dispatched) + j
+            battery[:, col] = dispatch_mod.perturb_injection(b_star, eps[:, col])
     n_gen = len(gens)
     state = SystemState(
         model=model, params=params, n_members=n_members,
@@ -450,11 +464,9 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
         online=np.ones(n_members * n_gen, dtype=bool), banks=banks,
         relays=[UflsRelayState(f0=model.f0)] * (n_members * len(model.load_buses)),
         load_bus_idx=flat([idx[b.id] for b in model.load_buses], n),
-        load_mw=_per_second([p.load_mw[b.id] for p in profiles
-                             for b in model.load_buses], n_seconds),
+        load_mw=load_mw,
         wind_bus_idx=flat([idx[b.id] for b in model.wind_buses], n),
-        wind_mw=_per_second([p.wind_mw[b.id] for p in profiles
-                             for b in model.wind_buses], n_seconds),
+        wind_mw=wind_mw,
         battery_bus_idx=flat([idx[bus] for bus in dispatched], n),
         battery_mw=battery,
         est_filt=np.zeros(n_members * n), freq=np.full(n_members * n, model.f0),

@@ -124,10 +124,11 @@ def build_full_susceptance_matrix(model: GridModel) -> sp.csr_matrix:
 def solve_dc_flow(model: GridModel, injections_mw: np.ndarray) -> np.ndarray:
     """Solve B·theta = P for bus angles in radians, slack angle pinned at 0.
 
-    ``injections_mw`` is the per-bus net injection over all buses.  The
-    slack row and column of the Laplacian are set to the identity and the
-    slack entry of P to 0, which eliminates the slack bus exactly (its
-    injection is the balancing residual and is not part of the solve).
+    ``injections_mw`` is the finite per-bus net injection over all buses
+    (``ValueError`` otherwise).  The slack row and column of the Laplacian
+    are set to the identity and the slack entry of P to 0, which
+    eliminates the slack bus exactly (its injection is the balancing
+    residual and is not part of the solve).
     """
     k = model.bus_pos[model.slack_bus]
     b = build_full_susceptance_matrix(model).tolil()
@@ -135,6 +136,9 @@ def solve_dc_flow(model: GridModel, injections_mw: np.ndarray) -> np.ndarray:
     b[:, k] = 0.0
     b[k, k] = 1.0
     p = np.asarray(injections_mw, dtype=float) / model.base_mva
+    if p.shape != (len(model.buses),) or not np.isfinite(p).all():
+        raise ValueError(f"injections_mw: needs {len(model.buses)} finite per-bus "
+                         f"values, got shape {p.shape}")
     p[k] = 0.0
     try:
         theta = spla.spsolve(b.tocsc(), p)

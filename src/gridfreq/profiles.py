@@ -8,7 +8,10 @@ profiles are per-unit multipliers around the forecast.  Every profile
 is synthesized from a seed (``engine.build_profiles`` derives one per
 scenario seed, bus and purpose), none is read from a file, and each
 replays bit-identically.  The battery tracking error is drawn the same
-way, from ``dispatch.placeholder_error_cdf``.
+way, by ``dispatch.sample_tracking_error``.  A run checks every series
+it steps on before its first step: ``engine.init_system`` raises
+``ProfileError`` naming a series that is missing, short, not 1-D or
+not finite.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Dispatched-by-design bus emulation: battery compensation algebra and
-tracking-error sampling (inverse transform vs the stated CDF)."""
+tracking-error sampling (inverse transform vs the CDF table)."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from gridfreq.dispatch import (CdfError, ErrorCdf, ideal_battery_injection,
-                               perturb_injection, placeholder_error_cdf)
+from gridfreq.dispatch import (ERROR_EPS, ERROR_PROB, ideal_battery_injection,
+                               perturb_injection, sample_tracking_error)
 
 
 class TestBatteryAlgebra:
@@ -39,44 +39,25 @@ class TestBatteryAlgebra:
 
 
 class TestErrorCdf:
-    def test_validation(self):
-        with pytest.raises(CdfError):
-            ErrorCdf(eps=np.array([0.1, 0.0]), prob=np.array([0.0, 1.0]))
-        with pytest.raises(CdfError):
-            ErrorCdf(eps=np.array([0.0, 0.1]), prob=np.array([0.5, 0.2]))
-        with pytest.raises(CdfError):
-            ErrorCdf(eps=np.array([0.0, 0.1]), prob=np.array([0.1, 1.0]))
-        with pytest.raises(CdfError):
-            ErrorCdf(eps=np.array([]), prob=np.array([]))
-        with pytest.raises(CdfError, match="at least two breakpoints"):
-            ErrorCdf(eps=np.array([0.0]), prob=np.array([1.0]))
-
     def test_inverse_transform_matches_cdf_ks(self):
         """Empirical distribution of samples vs the piecewise-linear CDF
-        via a Kolmogorov-Smirnov test."""
-        eps = np.array([-0.04, -0.01, 0.0, 0.02, 0.05])
-        prob = np.array([0.0, 0.3, 0.5, 0.8, 1.0])
-        cdf = ErrorCdf(eps=eps, prob=prob)
-        rng = np.random.default_rng(12)
-        xs = cdf.sample(rng, 20000)
-
-        def cdf_fn(x):
-            return np.interp(x, eps, prob)
-
-        res = stats.kstest(xs, cdf_fn)
+        table via a Kolmogorov-Smirnov test."""
+        xs = sample_tracking_error(np.random.default_rng(12), 20000)
+        res = stats.kstest(xs, lambda x: np.interp(x, ERROR_EPS, ERROR_PROB))
         assert res.pvalue > 1e-3
 
     def test_determinism_per_rng_state(self):
-        cdf = placeholder_error_cdf()
-        a = cdf.sample(np.random.default_rng(7), 50)
-        b = cdf.sample(np.random.default_rng(7), 50)
+        a = sample_tracking_error(np.random.default_rng(7), 50)
+        b = sample_tracking_error(np.random.default_rng(7), 50)
         assert np.array_equal(a, b)
 
     def test_placeholder_shape(self):
-        cdf = placeholder_error_cdf()
-        assert cdf.eps.min() == -0.05
-        assert cdf.eps.max() == 0.05
-        rng = np.random.default_rng(3)
-        xs = cdf.sample(rng, 50000)
+        """The table is a CDF: eps strictly increasing over +/-5%, prob
+        nondecreasing from 0 to 1; its samples have zero mean."""
+        assert ERROR_EPS.shape == ERROR_PROB.shape == (41,)
+        assert ERROR_EPS[0] == -0.05 and ERROR_EPS[-1] == 0.05
+        assert np.all(np.diff(ERROR_EPS) > 0) and np.all(np.diff(ERROR_PROB) >= 0)
+        assert ERROR_PROB[0] == 0.0 and ERROR_PROB[-1] == 1.0
+        xs = sample_tracking_error(np.random.default_rng(3), 50000)
         assert abs(xs.mean()) < 3 * 0.015 / np.sqrt(50000)
         assert xs.min() >= -0.05 and xs.max() <= 0.05

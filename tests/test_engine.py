@@ -45,6 +45,17 @@ class TestScenario:
         Scenario(name="x", case="A", duration_s=2.0,
                  events=(ContingencyEvent(1.99, "G2"),))
 
+    def test_event_off_the_step_grid_rejected(self):
+        """An event fires before a step, so its time must be one: at
+        dt_s 0.01, 5 ms would fire at t = 0 and 15 ms at t = 0.02."""
+        for t in (0.005, 0.015, 300.005):
+            with pytest.raises(ScenarioError,
+                               match=r"events\[0\]\.time_s: .* whole multiple of dt_s"):
+                Scenario(name="x", case="A", events=(ContingencyEvent(t, "G1"),))
+        for t in (0.0, 1.99, 2.5, 300.0):
+            Scenario(name="x", case="A", events=(ContingencyEvent(t, "G1"),))
+        Scenario(name="x", case="A", dt_s=0.005, events=(ContingencyEvent(0.015, "G1"),))
+
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ScenarioError):
             Scenario(name="x", case="A", duration_s=0.0)
@@ -175,13 +186,22 @@ class TestProfiles:
 
     @pytest.mark.parametrize("values", [np.full(11, 123.0),
                                         np.r_[np.full(11, 123.0), np.nan],
-                                        np.full((12, 1), 123.0)])
+                                        np.full((12, 1), 123.0),
+                                        pytest.param(None, id="missing")])
     def test_short_or_nonfinite_override_rejected(self, four_bus, values):
+        """Every series a case-B run steps on, the wind, load and tracking
+        error of dispatched bus 3 alike, is checked before the first step,
+        and the error names it."""
         p = quick_params(four_bus)
-        sc = Scenario(name="t", case="A", duration_s=10)
-        prof = replace(build_profiles(four_bus, sc, p), wind_mw={3: values})
-        with pytest.raises(ProfileError, match="12 finite"):
-            run_scenario(four_bus, sc, params=p, profiles=prof)
+        sc = Scenario(name="t", case="B", duration_s=10)
+        prof, bus = build_profiles(four_bus, sc, p), 3
+        for kind in ("wind_mw", "load_mw", "battery_eps"):
+            series = {b: v for b, v in getattr(prof, kind).items() if b != bus}
+            if values is not None:
+                series[bus] = values
+            why = "missing" if values is None else "needs 12 finite"
+            with pytest.raises(ProfileError, match=rf"profiles\.{kind}\[{bus}\]: {why}"):
+                init_system(four_bus, [sc], p, [replace(prof, **{kind: series})])
 
     def test_eps_streams_only_on_dispatched_buses(self, four_bus):
         p = SimParams.from_model(four_bus)

@@ -199,6 +199,12 @@ class TestDcFlow:
         theta = solve_dc_flow(ieee39, inj)
         assert np.allclose(theta, _dense_oracle_theta(ieee39, inj), atol=1e-10)
 
+    @pytest.mark.parametrize("inj", [np.r_[np.zeros(3), np.nan, np.zeros(35)],
+                                     np.zeros(5)])
+    def test_nonfinite_or_wrong_length_injection_rejected(self, ieee39, inj):
+        with pytest.raises(ValueError, match="needs 39 finite per-bus values"):
+            solve_dc_flow(ieee39, inj)
+
     def test_kirchhoff_balance_at_every_bus(self, ieee39):
         """Flows out of each non-slack bus equal its injection."""
         rng = np.random.default_rng(3)
