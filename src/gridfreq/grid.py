@@ -8,14 +8,12 @@ angles through a nodal susceptance (Laplacian) matrix.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .schema import GRID, GridConfigError, check, read_yaml
 
@@ -76,9 +74,17 @@ class GridModel:
                     raise GridConfigError(f"grid.lines[{i}].{key}: dangling, no bus {end}")
         if self.slack_bus not in self.bus_pos:
             raise GridConfigError(f"grid.slack_bus: slack bus {self.slack_bus} does not exist")
-        ncomp, _ = csgraph.connected_components(build_full_susceptance_matrix(self),
-                                                directed=False)
-        if ncomp != 1:
+        # a breadth-first search along the lines from the slack bus
+        neighbours: dict[int, list[int]] = {b.id: [] for b in self.buses}
+        for ln in self.lines:
+            neighbours[ln.from_bus].append(ln.to_bus)
+            neighbours[ln.to_bus].append(ln.from_bus)
+        reached, queue = {self.slack_bus}, deque([self.slack_bus])
+        while queue:
+            new = set(neighbours[queue.popleft()]) - reached
+            reached |= new
+            queue.extend(new)
+        if len(reached) != len(self.buses):
             raise GridConfigError("grid.lines: network is not a single connected island")
         if self.expected_wind_total_mw is not None:
             total = sum(b.wind_mw or 0.0 for b in self.buses)
@@ -108,17 +114,40 @@ class GridModel:
 
 # -- susceptance matrix ----------------------------------------------------
 
-def build_full_susceptance_matrix(model: GridModel) -> sp.csr_matrix:
-    """Nodal susceptance Laplacian over all buses (row sums are zero)."""
+def build_full_susceptance_matrix(model: GridModel) -> np.ndarray:
+    """Dense nodal susceptance Laplacian over all buses (row sums are zero)."""
     n = len(model.buses)
     idx = model.bus_pos
-    rows, cols, vals = [], [], []
+    full = np.zeros((n, n))
     for ln in model.lines:
         i, j, b = idx[ln.from_bus], idx[ln.to_bus], ln.susceptance
-        rows += [i, j, i, j]
-        cols += [j, i, i, j]
-        vals += [-b, -b, b, b]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        full[i, j] -= b
+        full[j, i] -= b
+        full[i, i] += b
+        full[j, j] += b
+    return full
+
+
+class InverseFactor:
+    """One network matrix, inverted once, that solves for many members.
+
+    ``solve`` takes one right-hand side per row and returns one solution
+    per row.  Each row is its own vector-matrix product, so a member's
+    solution is bit for bit the one its solo run gets; a single matrix
+    product over all rows would not be.  A singular matrix raises
+    ``IslandingError``.
+    """
+
+    def __init__(self, b: np.ndarray):
+        try:
+            inv = np.linalg.inv(b)
+        except np.linalg.LinAlgError as exc:
+            raise IslandingError(f"network solve singular: {exc}") from exc
+        # x = B^-1 r as a row is r^T B^-T: rows of the rhs times the transpose
+        self._inv_t = np.ascontiguousarray(inv.T)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return (rhs[:, None, :] @ self._inv_t)[:, 0]
 
 
 def solve_dc_flow(model: GridModel, injections_mw: np.ndarray) -> np.ndarray:
@@ -131,7 +160,7 @@ def solve_dc_flow(model: GridModel, injections_mw: np.ndarray) -> np.ndarray:
     residual and is not part of the solve).
     """
     k = model.bus_pos[model.slack_bus]
-    b = build_full_susceptance_matrix(model).tolil()
+    b = build_full_susceptance_matrix(model)
     b[k, :] = 0.0
     b[:, k] = 0.0
     b[k, k] = 1.0
@@ -141,8 +170,8 @@ def solve_dc_flow(model: GridModel, injections_mw: np.ndarray) -> np.ndarray:
                          f"values, got shape {p.shape}")
     p[k] = 0.0
     try:
-        theta = spla.spsolve(b.tocsc(), p)
-    except RuntimeError as exc:
+        theta = np.linalg.solve(b, p)
+    except np.linalg.LinAlgError as exc:
         raise IslandingError(f"singular susceptance matrix: {exc}") from exc
     if not np.all(np.isfinite(theta)):
         raise IslandingError("singular susceptance matrix (non-finite solution)")

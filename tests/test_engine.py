@@ -6,7 +6,11 @@ bookkeeping, seed pairing, contingency handling).
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,16 @@ class TestProfiles:
             why = "missing" if values is None else "needs 12 finite"
             with pytest.raises(ProfileError, match=rf"profiles\.{kind}\[{bus}\]: {why}"):
                 init_system(four_bus, [sc], p, [replace(prof, **{kind: series})])
+
+    def test_list_series_rejected(self, four_bus):
+        """A series given as a list, not a 1-D array, is named before the
+        first step."""
+        p = quick_params(four_bus)
+        sc = Scenario(name="t", case="A", duration_s=10)
+        prof = replace(build_profiles(four_bus, sc, p), wind_mw={3: [123.0] * 12})
+        with pytest.raises(ProfileError,
+                           match=r"profiles\.wind_mw\[3\]: needs 12 finite .*, got list$"):
+            init_system(four_bus, [sc], p, [prof])
 
     def test_eps_streams_only_on_dispatched_buses(self, four_bus):
         p = SimParams.from_model(four_bus)
@@ -459,3 +473,18 @@ class TestEnsemble:
         profiles = [build_profiles(four_bus, same, p)]
         with pytest.raises(ScenarioError, match="one per member"):
             gf.run_ensemble(four_bus, [same, same], params=p, profiles=profiles)
+
+
+def test_a_run_loads_no_scipy():
+    """The network is solved with numpy alone: importing gridfreq and
+    running a scenario leave no scipy module loaded."""
+    code = ("import sys\n"
+            "import gridfreq as gf\n"
+            "gf.run_scenario(gf.ieee39(), gf.Scenario(name='t', case='B', duration_s=1.0))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(gf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,8 @@
 """Network model validation and DC power-flow correctness.
 
-The sparse DC solve is checked against an independent dense
-numpy.linalg.solve oracle and against Kirchhoff balance at every bus.
+The DC solve is checked against an independent reduced-system
+numpy.linalg.solve oracle and against Kirchhoff balance at every bus;
+the engine's inverse factor is checked against scipy's sparse LU.
 """
 
 import math
@@ -9,10 +10,17 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gridfreq as gf
-from gridfreq.grid import (GridConfigError, build_full_susceptance_matrix,
-                           load_grid_config, solve_dc_flow)
+from gridfreq.engine import Scenario, SimParams, build_profiles, init_system
+from gridfreq.grid import (GridConfigError, InverseFactor, IslandingError,
+                           build_full_susceptance_matrix, load_grid_config,
+                           solve_dc_flow)
 
 from tests.conftest import four_bus_doc, two_bus_doc
 
@@ -60,6 +68,22 @@ class TestConfigValidation:
         doc["lines"] = [{"from": 1, "to": 3, "x": 0.02}]
         with pytest.raises(GridConfigError, match="connected"):
             load_grid_config(doc)
+
+    @pytest.mark.parametrize("extra_buses, extra_lines, slack", [
+        pytest.param([5], [], 1, id="bus-without-lines"),
+        pytest.param([5, 6], [(5, 6)], 1, id="slack-in-larger-island"),
+        pytest.param([5, 6], [(5, 6)], 5, id="slack-in-smaller-island"),
+    ])
+    def test_every_bus_must_reach_the_slack(self, extra_buses, extra_lines, slack):
+        doc = four_bus_doc()
+        doc["buses"] += [{"id": b} for b in extra_buses]
+        doc["lines"] += [{"from": i, "to": j, "x": 0.02} for i, j in extra_lines]
+        doc["slack_bus"] = slack
+        with pytest.raises(GridConfigError, match=r"^grid\.lines: network is not a "
+                                                  r"single connected island$"):
+            load_grid_config(doc)
+        doc["lines"].append({"from": 4, "to": 5, "x": 0.02})
+        assert len(load_grid_config(doc).buses) == 4 + len(extra_buses)
 
     def test_missing_slack_rejected(self):
         doc = two_bus_doc()
@@ -154,12 +178,12 @@ class TestConfigValidation:
 
 class TestSusceptanceMatrix:
     def test_laplacian_row_sums_zero(self, four_bus):
-        full = build_full_susceptance_matrix(four_bus).toarray()
+        full = build_full_susceptance_matrix(four_bus)
         assert np.allclose(full.sum(axis=1), 0.0, atol=1e-12)
         assert np.allclose(full, full.T, atol=1e-12)
 
     def test_off_diagonals_are_negative_susceptances(self, two_bus):
-        full = build_full_susceptance_matrix(two_bus).toarray()
+        full = build_full_susceptance_matrix(two_bus)
         assert full[0, 1] == pytest.approx(-50.0)
         assert full[0, 0] == pytest.approx(50.0)
 
@@ -170,7 +194,7 @@ class TestSusceptanceMatrix:
 
 def _dense_oracle_theta(model, injections_mw):
     """Independent dense solve of the reduced DC system."""
-    full = build_full_susceptance_matrix(model).toarray()
+    full = build_full_susceptance_matrix(model)
     k = model.bus_pos[model.slack_bus]
     keep = [i for i in range(len(model.buses)) if i != k]
     b_red = full[np.ix_(keep, keep)]
@@ -240,6 +264,45 @@ class TestDcFlow:
         ln = two_bus.lines[0]
         flow = ln.susceptance * (theta[0] - theta[1]) * two_bus.base_mva
         assert flow == pytest.approx(120.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# inverse factor of the engine's network matrix
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def b_aug(ieee39):
+    """IEEE-39's Laplacian plus every machine's coupling, as the engine steps it."""
+    p = SimParams.from_model(ieee39)
+    sc = Scenario(name="t", case="B", duration_s=1.0)
+    return init_system(ieee39, [sc], p, [build_profiles(ieee39, sc, p)])._b_aug
+
+
+class TestInverseFactor:
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(39)),
+                      elements=st.floats(-20.0, 20.0)))
+    def test_each_row_is_its_solo_solve(self, b_aug, rhs):
+        factor = InverseFactor(b_aug)
+        x = factor.solve(rhs)
+        assert x.shape == rhs.shape
+        for j in range(len(rhs)):
+            assert np.array_equal(x[j], factor.solve(rhs[j:j + 1])[0])
+
+    def test_matches_sparse_lu(self, b_aug):
+        rhs = np.random.default_rng(5).normal(0.0, 5.0, size=(8, 39))
+        x = InverseFactor(b_aug).solve(rhs)
+        ref = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(b_aug)).solve(rhs.T).T
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_residual(self, b_aug):
+        rhs = np.random.default_rng(6).normal(0.0, 5.0, size=(8, 39))
+        x = InverseFactor(b_aug).solve(rhs)
+        assert np.abs(x @ b_aug.T - rhs).max() < 1e-11
+
+    def test_singular_matrix_raises_islanding(self):
+        with pytest.raises(IslandingError, match="singular"):
+            InverseFactor(np.zeros((3, 3)))
 
 
 class TestIeee39Data:

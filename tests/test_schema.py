@@ -182,7 +182,7 @@ class TestResidual:
                 theta = lu.solve(rhs)
                 calls.append(rhs)
                 if len(calls) == 4 * k + 1:         # four solves per step
-                    theta[:, 1] += 1e-3
+                    theta[1] += 1e-3
                 return theta
 
         st._b_aug_lu = Perturbed()
