@@ -12,7 +12,7 @@ Usage:
 
 import numpy as np
 
-from gridfreq.profiles import (resample_wind, scale_wind, synthetic_minute_walk,
+from gridfreq.profiles import (resample_wind, scale_profile, synthetic_minute_walk,
                                synthetic_second_multiplier)
 
 
@@ -42,7 +42,7 @@ def main() -> None:
     print("same seed -> byte-identical profile")
 
     # 5. scale by the farm rating to get MW
-    farm = scale_wind(noisy, rating_mw=400.0)
+    farm = scale_profile(noisy, base_mw=400.0)
     print(f"400 MW farm: first seconds {farm[:5].round(1)} MW")
 
     # 6. load multipliers: slow minute walk + fast second-to-second noise

@@ -7,12 +7,11 @@ from .grid import (BusSpec, GeneratorSpec, GridConfigError, GridModel,
 from .machines import (HydroGovState, HydroParams, SteamGovState, SteamParams,
                        hydro_governor_step, hydro_init, hydro_turbine_step,
                        steam_governor_step, steam_init, steam_turbine_step)
-from .profiles import make_load_profile, resample_wind, scale_wind
+from .profiles import resample_wind, scale_profile
 from .dispatch import (ideal_battery_injection, perturb_injection,
                        sample_tracking_error)
 from .protection import (UflsRelayState, estimate_frequency, filter_gain,
-                         restoration_level_for_frequency,
-                         shed_level_for_frequency, ufls_step)
+                         ufls_step)
 from .engine import (ContingencyEvent, Scenario, ScenarioError, SimParams,
                      Trajectory, build_profiles, load_scenario, run_ensemble,
                      run_scenario)

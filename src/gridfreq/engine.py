@@ -26,7 +26,7 @@ from . import dispatch as dispatch_mod
 from . import machines as mach
 from .grid import (GridModel, InverseFactor, IslandingError,
                    build_full_susceptance_matrix, solve_dc_flow)
-from .profiles import (ProfileError, resample_wind, scale_wind, make_load_profile,
+from .profiles import (ProfileError, resample_wind, scale_profile,
                        synthetic_minute_walk, synthetic_second_multiplier)
 from .protection import (FREQ_FILTER_TAU, UflsRelayState, estimate_frequency,
                          filter_gain, ufls_step)
@@ -195,13 +195,13 @@ def build_profiles(model: GridModel, scenario: Scenario,
                 seed=_bus_seed(scenario.seed, b.id, 1))
             pu = resample_wind(src, params.wind_resample_sigma,
                                _bus_seed(scenario.seed, b.id, 2))
-            wind_mw[b.id] = scale_wind(pu, b.wind_mw)
+            wind_mw[b.id] = scale_profile(pu, b.wind_mw)
         if b.load_mw is not None:
             mult = synthetic_second_multiplier(
                 n_seconds, sigma_slow=params.load_slow_sigma,
                 sigma_fast=params.load_fast_sigma,
                 seed=_bus_seed(scenario.seed, b.id, 3))
-            load_mw[b.id] = make_load_profile(mult, b.load_mw * params.load_scale)
+            load_mw[b.id] = scale_profile(mult, b.load_mw * params.load_scale)
         if b.dispatched:
             rng = np.random.default_rng(_bus_seed(scenario.seed, b.id, 4))
             eps[b.id] = dispatch_mod.sample_tracking_error(rng, n_seconds)

@@ -11,9 +11,11 @@ Two prime-mover chains are provided:
   gate velocity, integrated to position), and the nonlinear
   penstock/turbine model dq/dt = (1 - h)/T_w with h = (q/G)^2 and
   P_m = A_t h (q - q_nl).  The droop feeds back gate position, not
-  electrical power: that keeps the non-minimum-phase turbine out of the
-  droop loop, which the reduced-order model needs for a well-damped
-  regulation mode.
+  electrical power, keeping the non-minimum-phase turbine out of the
+  droop loop.  That alone does not damp the regulation mode: after a
+  0.1 % load step, one hydro unit with ample reserve swings ever wider
+  (speed 2.0e-4 p.u. peak to peak over 10-20 s, 5.7e-4 over 40-60 s),
+  where a steam unit's swing decays to 3.4e-11 (ROADMAP item 4).
 
 All scalar first-order lags are advanced by exact exponential
 discretization, so they are unconditionally stable regardless of the

@@ -54,18 +54,12 @@ def resample_wind(minutes, sigma: float, seed) -> np.ndarray:
     return out
 
 
-def scale_wind(omega, rating_mw: float) -> np.ndarray:
-    """Scale a per-unit wind profile by the farm rating (Eq. W = W_b * omega)."""
-    if rating_mw <= 0:
-        raise ProfileError("wind rating must be positive")
-    return np.asarray(omega, dtype=float) * rating_mw
-
-
-def make_load_profile(mult, forecast_mw: float) -> np.ndarray:
-    """Scale a per-unit load multiplier profile by the bus forecast."""
-    if forecast_mw <= 0:
-        raise ProfileError("load forecast must be positive")
-    return np.asarray(mult, dtype=float) * forecast_mw
+def scale_profile(pu, base_mw: float) -> np.ndarray:
+    """Scale a per-unit profile to MW by its base: a wind farm's rating
+    (Eq. W = W_b * omega) or a load bus's forecast."""
+    if base_mw <= 0:
+        raise ProfileError("profile base must be positive")
+    return np.asarray(pu, dtype=float) * base_mw
 
 
 # -- bundled synthetic sources ---------------------------------------------

@@ -18,9 +18,6 @@ import numpy as np
 _SHED_STEPS = ((2.0, 0.50), (1.8, 0.45), (1.6, 0.35),
                (1.4, 0.25), (1.2, 0.15), (1.0, 0.05))
 
-# relays shed only below f0 - _SHED_ONSET, the shallowest step
-_SHED_ONSET = _SHED_STEPS[-1][0]
-
 SHED_LEVELS = (0.0, *sorted(level for _, level in _SHED_STEPS))
 
 # (frequency offset below f0, level restored to)
@@ -31,31 +28,6 @@ RESTORE_DELAY = 10.0        # pickup delay of a restored level, s: reconnection 
 
 FREQ_FILTER_TAU = 0.05      # estimator low-pass time constant, s
 _TWO_PI = np.array(2.0 * math.pi)   # 0-d: a cheaper ufunc operand than a float
-
-
-def shed_level_for_frequency(f: float, f0: float) -> float:
-    """Staircase shed fraction at frequency ``f``: the level of the deepest
-    step with ``f <= f0 - offset``, so at an exact band boundary the deeper
-    step applies.  It returns 0.05 at exactly f0 - 1.0 Hz and 0 above it.
-    ``ufls_step`` consults it only strictly below f0 - 1.0 Hz; at and
-    above that, restoration logic governs.
-    """
-    if f <= 0:
-        raise ValueError("frequency must be positive")
-    for offset, level in _SHED_STEPS:
-        if f <= f0 - offset:
-            return level
-    return 0.0
-
-
-def restoration_level_for_frequency(f: float, f0: float) -> float | None:
-    """Level a relay may restore to, or None if frequency is too low to restore."""
-    if f <= 0:
-        raise ValueError("frequency must be positive")
-    for offset, level in _RESTORE_STEPS:
-        if f >= f0 - offset:
-            return level
-    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,26 +41,35 @@ class UflsRelayState:
 def ufls_step(r: UflsRelayState, f_meas: float, dt: float) -> UflsRelayState:
     """Advance the relay one step on the measured local frequency.
 
-    A target level (from the shedding map below f0 - 1.0 Hz, from the
-    restoration map above the restoration thresholds, hold in between)
-    must persist for at least the pickup delay before it is committed:
-    ``SHED_DELAY`` when shedding deeper, ``RESTORE_DELAY`` when restoring.
-    The timer resets whenever the target changes.
+    Strictly below the shallowest shed step, f0 - 1.0 Hz, the target is
+    the deepest ``_SHED_STEPS`` level with f_meas <= f0 - offset, never
+    shallower than the committed level.  At or above it, the target is
+    the first ``_RESTORE_STEPS`` level with f_meas >= f0 - offset if that
+    is below the committed level; otherwise the relay holds.  A target
+    must persist for the pickup delay before it is committed:
+    ``SHED_DELAY`` when shedding deeper, ``RESTORE_DELAY`` when
+    restoring.  The timer resets whenever the target changes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     f0 = r.f0
-    if f_meas < f0 - _SHED_ONSET:
-        # shedding region: may only deepen (absolute staircase)
-        target = max(r.level, shed_level_for_frequency(f_meas, f0))
+    if f_meas < f0 - _SHED_STEPS[-1][0]:
+        # shedding region: may only deepen; the last row always matches
+        if f_meas <= 0:
+            raise ValueError("frequency must be positive")
+        for offset, level in _SHED_STEPS:
+            if f_meas <= f0 - offset:
+                target = max(r.level, level)
+                break
     elif r.level == 0.0 and r.candidate is None and r.timer == 0.0:
         return r                # nothing shed or pending, nothing to restore
     else:
-        restore = restoration_level_for_frequency(f_meas, f0)
-        if restore is not None and restore < r.level:
-            target = restore
+        for offset, level in _RESTORE_STEPS:
+            if f_meas >= f0 - offset:
+                target = min(r.level, level)
+                break
         else:
-            target = r.level    # dead band / restoration not reached: hold
+            target = r.level    # dead band: restoration not reached, hold
 
     # each transition builds the next state with one positional call
     if target == r.level:

@@ -1,6 +1,7 @@
 """End-to-end acceptance suite.
 
-Covers: the aggregate droop law against its analytic value, exact relay
+Covers: the aggregate droop law against its analytic value, the
+centre-of-inertia identity against a one-machine grid, exact relay
 staircase behavior over randomized traces, resampler statistics, the
 dispatched-bus compensation identity, metric oracles, qualitative
 reproduction of the bundled contingency study's orderings, numerical
@@ -26,11 +27,11 @@ from gridfreq.metrics import compute_metrics, export_results
 from gridfreq.profiles import resample_wind
 from gridfreq.protection import SHED_LEVELS, UflsRelayState, ufls_step
 
-from tests.conftest import FLAT
+from tests.conftest import FLAT, two_bus_doc
 
 
 # ---------------------------------------------------------------------------
-# 1. droop law
+# 1. aggregate dynamics: droop law and centre of inertia
 # ---------------------------------------------------------------------------
 
 class TestDroopLaw:
@@ -64,6 +65,64 @@ class TestDroopLaw:
         df_want = -dp / sum_base_over_r * 60.0
         assert f_end - 60.0 == pytest.approx(df_want, rel=0.01)
         assert time.monotonic() - t0 < 5.0
+
+
+def _speed_after_load_step(doc, step):
+    """``gen_speed_dev`` of a 40-s run whose one load steps up by the
+    fraction ``step`` at 10 s, with flat profiles, relays off and ample
+    reserve."""
+    model = gf.load_grid_config(doc)
+    params = SimParams.from_model(model, ufls_enabled=False,
+                                  reserve_fraction=5.0, **FLAT)
+    sc = Scenario(name="coi", case="A", duration_s=40.0)
+    (bus,) = model.load_buses
+    load = np.full(42, bus.load_mw)
+    load[10:] *= 1.0 + step
+    profiles = dataclasses.replace(build_profiles(model, sc, params),
+                                   load_mw={bus.id: load})
+    return run_scenario(model, sc, params=params, profiles=profiles).gen_speed_dev
+
+
+class TestCentreOfInertia:
+    """Units of one kind with equal per-unit parameters: their
+    inertia-weighted mean speed obeys the one-machine equation with the
+    summed rating, whatever the network between them.  The swing, the
+    governor lags and RK4 are linear and the network sums the electrical
+    power to the load at every stage, so the identity is exact up to
+    rounding; only the hydro turbine's (q/G)^2 head and the steam valve's
+    rate limit (which a 1 % step does not reach) break it."""
+
+    RATINGS = (1000.0, 600.0, 400.0)
+
+    def _coi_error(self, kind, step):
+        three = {
+            "base_mva": 100.0, "f0": 60.0, "slack_bus": 1,
+            "generators": [
+                {"id": f"G{i}", "bus": i, "type": kind, "rating_mva": s}
+                for i, s in enumerate(self.RATINGS, start=1)],
+            "buses": [{"id": 1}, {"id": 2}, {"id": 3},
+                      {"id": 4, "load_mw": 900.0}],
+            "lines": [{"from": 1, "to": 4, "x": 0.02},
+                      {"from": 2, "to": 4, "x": 0.04},
+                      {"from": 3, "to": 4, "x": 0.06},
+                      {"from": 1, "to": 2, "x": 0.05}],
+        }
+        s = np.array(self.RATINGS)
+        coi = _speed_after_load_step(three, step) @ s / s.sum()
+        one = _speed_after_load_step(
+            two_bus_doc(rating=s.sum(), load=900.0, kind=kind), step)
+        assert np.abs(one).max() > 0.01 * step      # the step reached the units
+        return np.abs(coi - one[:, 0]).max()
+
+    def test_thermal_coi_matches_one_machine(self):
+        assert self._coi_error("thermal", 0.01) <= 1e-14
+
+    def test_hydro_coi_error_scales_with_square_of_step(self):
+        """Measured 1.07e-13 at a 1 % step and 1.22e-15 at 0.1 %: a ratio
+        of 88, where rounding alone would give about 1 and a coupling
+        error linear in the step about 10."""
+        ratio = self._coi_error("hydro", 0.01) / self._coi_error("hydro", 0.001)
+        assert 30.0 <= ratio <= 300.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ statistics, determinism and bounds."""
 import numpy as np
 import pytest
 
-from gridfreq.profiles import (ProfileError, make_load_profile, resample_wind,
-                               scale_wind, synthetic_minute_walk,
+from gridfreq.profiles import (ProfileError, resample_wind, scale_profile,
+                               synthetic_minute_walk,
                                synthetic_second_multiplier)
 
 
@@ -72,21 +72,24 @@ class TestResampleWind:
 
 
 class TestScaling:
+    """`scale_profile` serves a wind farm's rating and a load bus's
+    forecast alike."""
+
     def test_scale_wind(self):
-        out = scale_wind(np.array([0.5, 1.0]), 400.0)
+        out = scale_profile(np.array([0.5, 1.0]), 400.0)
         assert np.allclose(out, [200.0, 400.0])
 
     def test_scale_wind_rejects_nonpositive_rating(self):
-        with pytest.raises(ProfileError):
-            scale_wind(np.array([0.5]), 0.0)
+        with pytest.raises(ProfileError, match="base must be positive"):
+            scale_profile(np.array([0.5]), 0.0)
 
     def test_make_load_profile(self):
-        out = make_load_profile(np.array([0.98, 1.02]), 250.0)
+        out = scale_profile(np.array([0.98, 1.02]), 250.0)
         assert np.allclose(out, [245.0, 255.0])
 
     def test_make_load_profile_rejects_nonpositive_forecast(self):
-        with pytest.raises(ProfileError):
-            make_load_profile(np.array([1.0]), -5.0)
+        with pytest.raises(ProfileError, match="base must be positive"):
+            scale_profile(np.array([1.0]), -5.0)
 
 
 class TestSyntheticSources:

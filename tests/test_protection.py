@@ -12,18 +12,31 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gridfreq.protection import (RESTORE_DELAY, UflsRelayState,
-                                 estimate_frequency, filter_gain,
-                                 restoration_level_for_frequency,
-                                 shed_level_for_frequency, ufls_step)
+from gridfreq.protection import (RESTORE_DELAY, SHED_DELAY, UflsRelayState,
+                                 estimate_frequency, filter_gain, ufls_step)
 
 F0 = 60.0
 
 
+def drive(relay, samples, dt=0.01):
+    for f in samples:
+        relay = ufls_step(relay, f, dt)
+    return relay
+
+
+def held_for_pickup(relay, f, delay, dt=0.01):
+    """The relay after frequency ``f`` has held for the pickup ``delay``
+    plus one step."""
+    return drive(relay, [f] * (round(delay / dt) + 1), dt)
+
+
 class TestSteppedMaps:
+    """The staircase read through the relay: each row commits its level
+    after the pickup delay, or (``None``) the relay holds."""
+
     @pytest.mark.parametrize("f,level", [
         (F0 - 0.99, 0.0),
-        (F0 - 1.0, 0.05),
+        (F0 - 1.0, None),       # the shallowest step sheds strictly below
         (F0 - 1.1, 0.05),
         (F0 - 1.2, 0.15),
         (F0 - 1.3, 0.15),
@@ -35,7 +48,12 @@ class TestSteppedMaps:
         (F0, 0.0),
     ])
     def test_shed_staircase(self, f, level):
-        assert shed_level_for_frequency(f, F0) == level
+        """From idle."""
+        start = UflsRelayState(f0=F0)
+        r = held_for_pickup(start, f, SHED_DELAY)
+        assert r.level == (0.0 if level is None else level)
+        if level is None:
+            assert r is start
 
     @pytest.mark.parametrize("f,level", [
         (F0, 0.0),
@@ -47,19 +65,17 @@ class TestSteppedMaps:
         (F0 - 0.76, None),
     ])
     def test_restoration_thresholds(self, f, level):
-        assert restoration_level_for_frequency(f, F0) == level
+        """From a committed 0.5."""
+        start = UflsRelayState(f0=F0, level=0.5)
+        r = held_for_pickup(start, f, RESTORE_DELAY)
+        assert r.level == (0.5 if level is None else level)
+        if level is None:
+            assert r is start
 
     def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            shed_level_for_frequency(0.0, F0)
-        with pytest.raises(ValueError):
-            restoration_level_for_frequency(-1.0, F0)
-
-
-def drive(relay, samples, dt=0.01):
-    for f in samples:
-        relay = ufls_step(relay, f, dt)
-    return relay
+        for f in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                ufls_step(UflsRelayState(f0=F0), f, 0.01)
 
 
 class TestRelay:
