@@ -98,11 +98,29 @@ def check(table: dict, doc, where: str, error: type = GridConfigError) -> dict:
     return out
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, on libyaml where PyYAML ships it; a key that
+    one mapping gives twice is an error, where PyYAML keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []                   # a list: an unhashable key fails in the base class
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue            # `<<: *anchor`: an explicit key may override a merged one
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def read_yaml(source: str | Path | dict, where: str, error: type):
     """The YAML document at path ``source``; a dict passes through."""
     if isinstance(source, dict):
         return source
     try:
-        return yaml.safe_load(Path(source).read_text())
+        return yaml.load(Path(source).read_text(), Loader=_Loader)
     except (OSError, yaml.YAMLError) as exc:
         raise error(f"{where}: cannot read {source}: {exc}") from None

@@ -25,6 +25,7 @@ from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError, SimParam
                              apply_contingency, build_profiles, init_system,
                              step_system)
 from gridfreq.grid import GridConfigError, IslandingError
+from gridfreq.schema import read_yaml
 
 from tests.conftest import FLAT, four_bus_doc, two_bus_doc
 
@@ -35,14 +36,18 @@ SCENARIO = {"name": "one", "case": "B", "duration_s": 1.0, "dt_s": 0.05, "seed":
             "output_dt_s": 0.1, "events": [{"time_s": 0.5, "generator": TRIPPED}]}
 
 
+GRID_TEXT = files("gridfreq.data").joinpath("ieee39.yaml").read_text()
+
+
 def bundled_grid() -> dict:
-    return yaml.safe_load(files("gridfreq.data").joinpath("ieee39.yaml").read_text())
+    return yaml.safe_load(GRID_TEXT)
 
 
 def write_inputs(where: Path, grid=None, scenario=None) -> None:
+    """Each input as a document, or as YAML text written as it is."""
     for name, doc in (("grid.yaml", grid or bundled_grid()),
                       ("sc.yaml", scenario or SCENARIO)):
-        (where / name).write_text(yaml.safe_dump(doc))
+        (where / name).write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
 
 
 def validate_and_run(capsys, where: Path) -> tuple[int, int, str]:
@@ -140,6 +145,44 @@ class TestScenarioHoles:
         1-s horizon the run ended its record at 0.9 s without a word."""
         both_exit_2(capsys, tmp_path, "scenario.output_dt_s: 0.15 does not divide",
                     scenario={**SCENARIO, "output_dt_s": 0.15})
+
+
+FIRST_BUS = "  - {id: 1, load_mw: 97.6, dispatched: true}\n"
+
+
+def line_of(text: str, marker: str) -> int:
+    return text[:text.index(marker)].count("\n") + 1
+
+
+class TestRepeatedKeys:
+    """PyYAML keeps the last of two equal keys: a scenario giving ``seed``
+    twice ran as its second seed, and ``validate`` printed ok."""
+
+    @pytest.mark.parametrize("grid, scenario, key, marker", [
+        (GRID_TEXT, yaml.safe_dump(SCENARIO) + "seed: 7\n", "seed", "seed: 7"),
+        # simulation is the grid file's last section
+        (GRID_TEXT + "  load_scale: 1.0\n", None, "load_scale", "  load_scale: 1.0\n"),
+        (GRID_TEXT.replace(FIRST_BUS, FIRST_BUS[:-2] + ", load_mw: 50}\n"), None,
+         "load_mw", "load_mw: 50")], ids=["scenario", "simulation", "bus"])
+    def test_repeated_key_exits_2_under_validate_and_run(self, capsys, tmp_path,
+                                                         grid, scenario, key, marker):
+        text = scenario or grid
+        assert text.count(f"{key}:") >= 2 and marker in text
+        both_exit_2(capsys, tmp_path,
+                    f"found duplicate key {key!r}\n  in \"<unicode string>\", "
+                    f"line {line_of(text, marker)}, column ",
+                    grid=grid, scenario=scenario)
+
+    @pytest.mark.parametrize("name", ["ieee39.yaml", "s1a.yaml", "s1b.yaml",
+                                      "s2a.yaml", "s2b.yaml"])
+    def test_bundled_files_read_as_safe_load_reads_them(self, name):
+        path = Path(str(files("gridfreq.data").joinpath(name)))
+        assert read_yaml(path, name, ScenarioError) == yaml.safe_load(path.read_text())
+
+    def test_merged_keys_are_not_repeated_keys(self, tmp_path):
+        text = "base: &b {case: A, seed: 1}\nrun:\n  <<: *b\n  seed: 2\n"
+        (tmp_path / "m.yaml").write_text(text)
+        assert read_yaml(tmp_path / "m.yaml", "m", ScenarioError) == yaml.safe_load(text)
 
 
 class TestAllUnitsTripped:
