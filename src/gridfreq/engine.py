@@ -496,16 +496,17 @@ def step_system(state: SystemState) -> dict:
     inj = state._inj
     p_inj = inj.pu
 
-    def solve(rhs):
-        # one right-hand side per member
-        return state._b_aug_lu.solve(state.per_member(rhs)).ravel()
-
     on = state._on
     bus_on, b_on, rating = on.bus, on.b_coupling, on.rating
+
+    def network(x):     # rhs, bus angles and system p.u. powers at angles x[0]
+        rhs = p_inj.copy()
+        rhs[bus_on] += b_on * x[0]
+        theta = state._b_aug_lu.solve(state.per_member(rhs)).ravel()
+        return rhs, theta, b_on * (x[0] - theta[bus_on])
+
     x0 = state.rotor[:, on.idx]             # online angles and speeds
-    rhs = p_inj.copy()
-    rhs[bus_on] += b_on * x0[0]
-    theta = solve(rhs)
+    rhs, theta, pe_sys0 = network(x0)
     if not np.logical_and.reduce(np.isfinite(theta)):
         raise IslandingError(f"network solve produced non-finite angles at "
                              f"t={state.clock:.2f}s")
@@ -514,8 +515,6 @@ def step_system(state: SystemState) -> dict:
     residual = np.maximum.reduce(np.abs((state.per_member(theta)[:, None, :] @ state._b_aug)[:, 0]
                                         - state.per_member(rhs)), axis=1)
     np.maximum(state.max_residual, residual, out=state.max_residual)
-
-    pe_sys0 = b_on * (x0[0] - theta[bus_on])
     state.p_elec[on.idx] = pe0 = pe_sys0 * base / rating
 
     # governors see a midpoint estimate of the speed deviation (one
@@ -524,7 +523,8 @@ def step_system(state: SystemState) -> dict:
     # the average of the old and new mechanical power: every cross-block
     # coupling is second-order accurate in dt
     w = state.rotor[1]
-    dw = w + c.half_dt * ((state.p_mech - state.p_elec - c.damping * w) / state.two_h)
+    dw = w + c.half_dt * mach.swing_accel(state.p_mech, state.p_elec, w, c.damping,
+                                          state.two_h)
     p_m = np.zeros(len(state.online))
     steam, hydro = state.banks["thermal"], state.banks["hydro"]
     valve_prev = steam.gov.valve
@@ -542,18 +542,14 @@ def step_system(state: SystemState) -> dict:
     # later stage so the synchronizing power is exact, not linearized
     # about the step's starting point.  Stage 1 takes the electrical
     # power just computed from the same angles.
-    def derivs(x, pe=None):
-        if pe is None:
-            stage_rhs = p_inj.copy()
-            stage_rhs[bus_on] += b_on * x[0]
-            theta_stage = solve(stage_rhs)
-            pe = (b_on * (x[0] - theta_stage[bus_on])) * base / rating
+    def derivs(x, pe):
         k = np.empty_like(x)
         np.multiply(c.ws, x[1], out=k[0])
-        k[1] = (p_m_eff - pe - c.damping * x[1]) / on.two_h
+        k[1] = mach.swing_accel(p_m_eff, pe, x[1], c.damping, on.two_h)
         return k
 
-    state.rotor[:, on.idx] = mach.rk4(derivs, x0, derivs(x0, pe0), c.dt, c.half_dt)
+    state.rotor[:, on.idx] = mach.rk4(lambda x: derivs(x, network(x)[2] * base / rating),
+                                      x0, derivs(x0, pe0), c.dt, c.half_dt)
     state.p_mech = p_m
 
     state.est_filt, state.freq = estimate_frequency(theta, state.theta, state.est_filt,
@@ -578,17 +574,12 @@ def step_system(state: SystemState) -> dict:
 
 
 def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
-    """Trip a generator in every member: take it off the network."""
+    """Trip a generator in every member: take it off the network.  The
+    schedule was checked at load; an unknown id raises ``ValueError``, and
+    the factorization an exactly singular matrix ``IslandingError``."""
     gens = state.model.generators
-    ids = [g.id for g in gens]
-    if event.generator not in ids:
-        raise ScenarioError(f"unknown generator {event.generator}")
-    g = ids.index(event.generator)
-    if not state.online[g]:
-        raise ScenarioError(f"generator {event.generator} is already offline")
+    g = [gen.id for gen in gens].index(event.generator)
     n_gen = len(gens)
-    if np.count_nonzero(state.online[:n_gen]) == 1:
-        raise IslandingError(f"trip of {event.generator} leaves no unit online")
     state.online[g::n_gen] = False
     state.p_mech[g::n_gen] = state.p_elec[g::n_gen] = 0.0
     state.refactorize()

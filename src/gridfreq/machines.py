@@ -1,4 +1,4 @@
-"""Governor and turbine models of the generating units.
+"""Governor, turbine and swing models of the generating units.
 
 Two prime-mover chains are provided:
 
@@ -32,7 +32,7 @@ array, so a field read before a step keeps its step-start value.
 Every function is elementwise: a state field (or a constant built from
 array parameters) holds one unit's value or an array over a bank of units
 of one kind, and one call on an N-unit bank gives bit for bit what N
-scalar calls give.  The engine integrates the swing equation with ``rk4``.
+scalar calls give.  The engine integrates ``swing_accel`` with ``rk4``.
 """
 
 from __future__ import annotations
@@ -76,6 +76,12 @@ def rk4(f, x, k1, dt, half_dt):
     k3 = f(x + half_dt * k2)
     k4 = f(x + dt * k3)
     return x + dt * (k1 + TWO * k2 + TWO * k3 + k4) / SIX
+
+
+def swing_accel(p_m, p_e, w, damping, two_h):
+    """Rotor acceleration dw/dt of the swing equation 2H dw/dt = P_m - P_e - D w,
+    powers and speed deviation ``w`` in machine p.u., ``two_h`` = 2H in s."""
+    return (p_m - p_e - damping * w) / two_h
 
 
 # ---------------------------------------------------------------------------

@@ -55,39 +55,27 @@ def compute_metrics(tr: Trajectory) -> Metrics:
     t = tr.times
     expected = tr.load_expected_mw.sum(axis=1)
     served = tr.load_served_mw.sum(axis=1)
+    level = tr.shed_level.max(axis=1)           # the deepest shed of each record
     unserved = expected - served
     if np.any(expected <= 0):
         raise MetricsError("expected load must be positive")
 
-    frac = unserved / expected
-    r_ls = float(frac.max())
-
-    shedding = np.any(tr.shed_level > 0, axis=1)
+    r_ls = float((unserved / expected).max())
     dt = tr.dt_out
+    shedding = level > 0
     t_ls = float(np.count_nonzero(shedding) * dt)
-
     eens = float(np.trapezoid(unserved, t)) / 3600.0
 
-    events = []
-    in_event = False
-    start = 0.0
-    peak = 0.0
-    for k in range(len(t)):
-        lvl = float(tr.shed_level[k].max())
-        if shedding[k] and not in_event:
-            in_event, start, peak = True, t[k], lvl
-        elif shedding[k]:
-            peak = max(peak, lvl)
-        elif in_event:
-            events.append(ShedEvent(trigger_s=float(start), clear_s=float(t[k]),
-                                    max_level=peak))
-            in_event = False
-    if in_event:
-        events.append(ShedEvent(trigger_s=float(start), clear_s=float(t[-1] + dt),
-                                max_level=peak))
+    # an event is a run of shedding records, from where the mask rises to
+    # where it falls, at the latest one output step after the last record
+    edges = np.diff(shedding, prepend=False, append=False).nonzero()[0]
+    t_clear = np.append(t, t[-1] + dt)
+    events = tuple(ShedEvent(trigger_s=float(t[a]), clear_s=float(t_clear[b]),
+                             max_level=float(level[a:b].max()))
+                   for a, b in zip(edges[::2], edges[1::2]))
 
     return Metrics(r_ls=r_ls, t_ls_s=t_ls, eens_mwh=max(eens, 0.0),
-                   events=tuple(events), scenario=tr.scenario_name,
+                   events=events, scenario=tr.scenario_name,
                    case=tr.case, seed=tr.seed)
 
 
@@ -146,9 +134,9 @@ def metrics_from_dict(d: dict) -> Metrics:
 
 def load_metrics(path: str | Path) -> Metrics:
     try:
-        with open(path) as f:
+        with open(path, "rb") as f:
             return metrics_from_dict(json.load(f))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MetricsError(f"{path}: not valid JSON: {exc}") from exc
 
 

@@ -56,7 +56,7 @@ SCENARIO = {"name": (str, (lambda v: v not in ("", ".", "..") and "/" not in v,
             "case": (str, (lambda v: v in ("A", "B"), "A or B"), True),
             "events": ([EVENT], None, False), "duration_s": (Real, POSITIVE, False),
             "dt_s": (Real, POSITIVE, False), "seed": (Integral, NONNEGATIVE, False),
-            "output_dt_s": (Real, FINITE, False)}
+            "output_dt_s": (Real, POSITIVE, False)}
 METRICS_VERSION = 1            # of the metrics.json this program writes
 SHED_EVENT = dict.fromkeys(("trigger_s", "clear_s", "max_level"), (Real, FINITE, True))
 METRICS = {"r_ls": (Real, (lambda v: 0 <= v <= 0.5 + 1e-12, "in [0, 0.5]"), True),
@@ -98,9 +98,9 @@ def check(table: dict, doc, where: str, error: type = GridConfigError) -> dict:
     return out
 
 
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """PyYAML's safe loader, on libyaml where PyYAML ships it; a key that
-    one mapping gives twice is an error, where PyYAML keeps the last."""
+class _NoRepeatedKeys:
+    """A loader mix-in: a key that one mapping gives twice is an error,
+    where PyYAML keeps the last."""
 
     def construct_mapping(self, node, deep=False):
         seen = []                   # a list: an unhashable key fails in the base class
@@ -116,11 +116,19 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return super().construct_mapping(node, deep)
 
 
+class _Loader(_NoRepeatedKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader, on libyaml where PyYAML ships it."""
+
+
 def read_yaml(source: str | Path | dict, where: str, error: type):
-    """The YAML document at path ``source``; a dict passes through."""
+    """The YAML document at path ``source``; a dict passes through.  The
+    file is parsed as a byte stream, so a YAML error's mark names it."""
     if isinstance(source, dict):
         return source
     try:
-        return yaml.load(Path(source).read_text(), Loader=_Loader)
-    except (OSError, yaml.YAMLError) as exc:
+        with open(source, "rb") as f:
+            return yaml.load(f, Loader=_Loader)
+    except OSError as exc:
         raise error(f"{where}: cannot read {source}: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise error(f"{where}: {exc}") from None

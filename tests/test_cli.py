@@ -270,3 +270,10 @@ class TestCompare:
         p = tmp_path / "bad.json"
         p.write_text("nope")
         assert main(["compare", str(p), str(p)]) == EXIT_VALIDATION
+
+    def test_compare_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        """It raised UnicodeDecodeError, and the command exited 1."""
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"scenario": "caf\xe9"}')
+        assert main(["compare", str(p), str(p)]) == EXIT_VALIDATION
+        assert f"error: {p}: not valid JSON: 'utf-8' codec can't decode" in capsys.readouterr().err

@@ -4,7 +4,8 @@ Oracles: closed-form solutions of the linear ODEs, scipy.integrate
 reference solutions of the nonlinear ones, and steady-state droop
 algebra.  Step functions must also hold their exact equilibria, and one
 call on a bank of units must equal one scalar call per unit, bit for bit.
-The swing equation is checked through one-machine engine runs.
+The swing acceleration is checked directly, and its integration through
+one-machine engine runs.
 """
 
 import contextlib
@@ -28,7 +29,7 @@ from gridfreq.machines import (GATE_FLOOR, HydroGovState, HydroParams,
                                hydro_constants, hydro_governor_step,
                                hydro_init, hydro_turbine_step,
                                steam_constants, steam_governor_step,
-                               steam_init, steam_turbine_step)
+                               steam_init, steam_turbine_step, swing_accel)
 from gridfreq.protection import estimate_frequency, filter_gain
 
 from tests.conftest import FLAT, two_bus_doc
@@ -270,10 +271,18 @@ class TestHydro:
 
 
 # ---------------------------------------------------------------------------
-# swing equation, through one-machine engine runs
+# swing equation: its acceleration, and one-machine engine runs
 # ---------------------------------------------------------------------------
 
 class TestSwing:
+    @given(st.floats(-2.0, 2.0), st.floats(0.0, 10.0), st.floats(0.1, 20.0))
+    def test_acceleration_is_zero_at_balance(self, p, damping, two_h):
+        """Mechanical power equal to electrical at synchronous speed is
+        an equilibrium, exactly."""
+        assert swing_accel(p, p, 0.0, damping, two_h) == 0.0
+        assert swing_accel(np.array(p), np.array(p), np.array(0.0),
+                           np.array(damping), np.array(two_h)) == 0.0
+
     def test_constant_imbalance_matches_closed_form(self):
         """One thermal unit without reserve (its valve is pinned at the
         set-point) against a load 10% above schedule: the imbalance is
@@ -403,6 +412,13 @@ class TestBankEqualsScalarCalls:
         x, u, tau = bank
         assert_same_bits(_lag(x, u, lag_decay(tau, dt)),
                          [_lag(*unit, lag_decay(t, dt)) for *unit, t in zip(*bank)])
+
+    @given(banks(lambda values, flags: (values(-2.0, 2.0), values(-2.0, 2.0),
+                                          values(-0.1, 0.1), values(0.0, 10.0),
+                                          values(0.1, 20.0))))
+    def test_swing_accel(self, bank):
+        assert_same_bits(swing_accel(*bank),
+                         [swing_accel(*unit) for unit in zip(*(a.tolist() for a in bank))])
 
     @given(banks(steam_bank), DT)
     def test_steam_governor(self, bank, dt):

@@ -14,15 +14,17 @@ from gridfreq.metrics import (CaseComparison, Metrics, MetricsError,
 
 
 def make_traj(times, expected, served, shed, dt_out=1.0):
-    """Minimal synthetic trajectory with one load bus."""
+    """Minimal synthetic trajectory; 1-D loads are one load bus, 2-D ones
+    a column per load bus."""
     times = np.asarray(times, dtype=float)
     n = len(times)
-    expected = np.asarray(expected, dtype=float).reshape(n, 1)
-    served = np.asarray(served, dtype=float).reshape(n, 1)
-    shed = np.asarray(shed, dtype=float).reshape(n, 1)
+    expected = np.asarray(expected, dtype=float).reshape(n, -1)
+    served = np.asarray(served, dtype=float).reshape(n, -1)
+    shed = np.asarray(shed, dtype=float).reshape(n, -1)
     return Trajectory(
         scenario_name="synthetic", case="A", seed=0, dt_out=dt_out,
-        bus_ids=[1], gen_ids=[], load_bus_ids=[1], wind_bus_ids=[],
+        bus_ids=[1], gen_ids=[], load_bus_ids=list(range(1, shed.shape[1] + 1)),
+        wind_bus_ids=[],
         dispatched_bus_ids=[], times=times,
         bus_freq=np.full((n, 1), 60.0),
         gen_p_mech=np.zeros((n, 0)), gen_p_elec=np.zeros((n, 0)),
@@ -92,6 +94,19 @@ class TestComputeMetrics:
         assert m.events[0].max_level == 0.05
         assert m.events[1].max_level == 0.15
         assert m.events[1].duration_s == pytest.approx(5.0)
+
+        # on two load buses: a burst from record 0, a one-record event, and
+        # an event that bus 1 triggers and bus 2 deepens
+        shed = np.zeros((30, 2))
+        shed[0:3, 0] = 0.05
+        shed[10, 1] = 0.1
+        shed[15:21, 0] = 0.05
+        shed[17:19, 1] = 0.15
+        expected = np.full((30, 2), 50.0)
+        m = compute_metrics(make_traj(t, expected, expected * (1 - shed), shed))
+        assert m.events == (ShedEvent(0.0, 3.0, 0.05), ShedEvent(10.0, 11.0, 0.1),
+                            ShedEvent(15.0, 21.0, 0.15))
+        assert m.t_ls_s == 10.0
 
     def test_open_event_extends_to_horizon(self):
         t = np.arange(10.0)

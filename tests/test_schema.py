@@ -25,6 +25,7 @@ from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError, SimParam
                              apply_contingency, build_profiles, init_system,
                              step_system)
 from gridfreq.grid import GridConfigError, IslandingError
+from gridfreq import schema
 from gridfreq.schema import read_yaml
 
 from tests.conftest import FLAT, four_bus_doc, two_bus_doc
@@ -44,10 +45,11 @@ def bundled_grid() -> dict:
 
 
 def write_inputs(where: Path, grid=None, scenario=None) -> None:
-    """Each input as a document, or as YAML text written as it is."""
+    """Each input as a document, or as YAML text or bytes written as they are."""
     for name, doc in (("grid.yaml", grid or bundled_grid()),
                       ("sc.yaml", scenario or SCENARIO)):
-        (where / name).write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
+        text = doc if isinstance(doc, (str, bytes)) else yaml.safe_dump(doc)
+        (where / name).write_bytes(text.encode() if isinstance(text, str) else text)
 
 
 def validate_and_run(capsys, where: Path) -> tuple[int, int, str]:
@@ -146,12 +148,45 @@ class TestScenarioHoles:
         both_exit_2(capsys, tmp_path, "scenario.output_dt_s: 0.15 does not divide",
                     scenario={**SCENARIO, "output_dt_s": 0.15})
 
+    @pytest.mark.parametrize("out", [0, -0.1])
+    def test_nonpositive_output_step_exits_2(self, capsys, tmp_path, out):
+        """It read as "not a whole multiple of dt_s"."""
+        both_exit_2(capsys, tmp_path,
+                    f"scenario.output_dt_s: {float(out)!r} is not positive and finite",
+                    scenario={**SCENARIO, "output_dt_s": out})
+
 
 FIRST_BUS = "  - {id: 1, load_mw: 97.6, dispatched: true}\n"
 
 
 def line_of(text: str, marker: str) -> int:
     return text[:text.index(marker)].count("\n") + 1
+
+
+@pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+def yaml_base(request, monkeypatch):
+    """The input reader on libyaml, and on PyYAML's own parser."""
+    base = getattr(yaml, request.param, None)
+    if base is None:
+        pytest.skip(f"this PyYAML has no {request.param}")
+    monkeypatch.setattr(schema, "_Loader", type("_Loader", (schema._NoRepeatedKeys, base), {}))
+
+
+class TestYamlStream:
+    """Inputs are parsed from the open file: an error names the file, and
+    a file that is not UTF-8 is a validation error, not a traceback."""
+
+    def test_repeated_key_names_the_file(self, capsys, tmp_path, yaml_base):
+        text = yaml.safe_dump(SCENARIO) + "seed: 7\n"
+        both_exit_2(capsys, tmp_path, f"scenario: while constructing a mapping\n"
+                                      f"  in \"{tmp_path / 'sc.yaml'}\", line 1, column 1",
+                    scenario=text)
+
+    @pytest.mark.parametrize("name", ["grid.yaml", "sc.yaml"])
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, yaml_base, name):
+        latin1 = yaml.safe_dump(SCENARIO).replace("name: one", "name: caf\u00e9").encode("latin-1")
+        both_exit_2(capsys, tmp_path, f"\n  in \"{tmp_path / name}\", position ",
+                    **{"grid" if name == "grid.yaml" else "scenario": latin1})
 
 
 class TestRepeatedKeys:
@@ -168,8 +203,9 @@ class TestRepeatedKeys:
                                                          grid, scenario, key, marker):
         text = scenario or grid
         assert text.count(f"{key}:") >= 2 and marker in text
+        path = tmp_path / ("sc.yaml" if scenario else "grid.yaml")
         both_exit_2(capsys, tmp_path,
-                    f"found duplicate key {key!r}\n  in \"<unicode string>\", "
+                    f"found duplicate key {key!r}\n  in \"{path}\", "
                     f"line {line_of(text, marker)}, column ",
                     grid=grid, scenario=scenario)
 
@@ -193,7 +229,7 @@ class TestAllUnitsTripped:
             st = init_system(model, [sc], params, [build_profiles(model, sc, params)])
             for g in trips[:-1]:
                 apply_contingency(st, ContingencyEvent(0.0, g))
-            with pytest.raises(IslandingError, match="no unit online"):
+            with pytest.raises(IslandingError, match="network solve singular"):
                 apply_contingency(st, ContingencyEvent(0.0, trips[-1]))
 
     @pytest.mark.parametrize("doc, trips", [(two_bus_doc(), ["G1"]),
