@@ -229,18 +229,6 @@ class _Bank:
 
 
 @dataclass
-class _Online:
-    """Per-machine values of the online machines, fixed until a trip."""
-
-    idx: np.ndarray                 # flat machine positions
-    off: np.ndarray                 # bool mask of the tripped machines
-    bus: np.ndarray                 # their flat bus positions
-    b_coupling: np.ndarray
-    rating: np.ndarray
-    two_h: np.ndarray
-
-
-@dataclass
 class _Injections:
     """Net non-machine bus injections of one profile second at the
     current shed levels, fixed until the second changes or a relay commits."""
@@ -257,7 +245,9 @@ class SystemState:
     Per-machine and per-bus arrays are flat and member-major (entry
     ``m * n_gen + g`` is generator ``g`` of member ``m``); per-second
     injection arrays have one row per profile second and, member-major,
-    one column per bus of their kind.
+    one column per bus of their kind.  A trip is held in ``online`` alone:
+    each step gives a tripped unit zero coupling and damping, so it adds
+    nothing to the network, its powers read +0.0 and its speed holds.
     """
 
     model: GridModel
@@ -289,7 +279,6 @@ class SystemState:
     # set by refactorize at every topology change
     _b_aug_lu: object = None
     _b_aug: np.ndarray | None = None
-    _on: _Online | None = None
     # injections the next step reuses; None has it rebuild them
     _inj: _Injections | None = None
 
@@ -298,16 +287,17 @@ class SystemState:
         return self.rotor[1]
 
     def refactorize(self) -> None:
+        """Rebuild B_aug (the Laplacian plus the online units' coupling) and
+        its factor.  The network is connected, so B_aug is singular exactly
+        when no unit is online: that raises ``IslandingError``."""
         n_gen = len(self.model.generators)
         on = self.online[:n_gen]
+        if not on.any():
+            raise IslandingError("network solve singular: no unit online")
         diag = np.zeros(len(self.model.buses))
-        diag[self.gen_bus[:n_gen][on]] += self.b_coupling[:n_gen][on]
+        diag[self.gen_bus[:n_gen]] = self.b_coupling[:n_gen] * on
         self._b_aug = self._b_full + np.diag(diag)
         self._b_aug_lu = spla.splu(self._b_aug)
-        idx = self.online.nonzero()[0]
-        self._on = _Online(idx=idx, off=~self.online, bus=self.gen_bus[idx],
-                           b_coupling=self.b_coupling[idx], rating=self.rating[idx],
-                           two_h=self.two_h[idx])
 
     def injections(self, sec: int) -> _Injections:
         """Net non-machine bus injections of profile second ``sec`` at the
@@ -496,16 +486,18 @@ def step_system(state: SystemState) -> dict:
     inj = state._inj
     p_inj = inj.pu
 
-    on = state._on
-    bus_on, b_on, rating = on.bus, on.b_coupling, on.rating
+    # a tripped unit's zero coupling adds 0 to the right-hand side and
+    # draws 0 or -0.0 power, and with zero damping its speed holds
+    online, bus, rating = state.online, state.gen_bus, state.rating
+    b_on, damping = state.b_coupling * online, c.damping * online
 
     def network(x):     # rhs, bus angles and system p.u. powers at angles x[0]
         rhs = p_inj.copy()
-        rhs[bus_on] += b_on * x[0]
+        rhs[bus] += b_on * x[0]
         theta = state._b_aug_lu.solve(state.per_member(rhs)).ravel()
-        return rhs, theta, b_on * (x[0] - theta[bus_on])
+        return rhs, theta, b_on * (x[0] - theta[bus])
 
-    x0 = state.rotor[:, on.idx]             # online angles and speeds
+    x0 = state.rotor
     rhs, theta, pe_sys0 = network(x0)
     if not np.logical_and.reduce(np.isfinite(theta)):
         raise IslandingError(f"network solve produced non-finite angles at "
@@ -515,7 +507,8 @@ def step_system(state: SystemState) -> dict:
     residual = np.maximum.reduce(np.abs((state.per_member(theta)[:, None, :] @ state._b_aug)[:, 0]
                                         - state.per_member(rhs)), axis=1)
     np.maximum(state.max_residual, residual, out=state.max_residual)
-    state.p_elec[on.idx] = pe0 = pe_sys0 * base / rating
+    pe0 = pe_sys0 * base / rating
+    state.p_elec = np.where(online, pe0, 0.0)
 
     # governors see a midpoint estimate of the speed deviation (one
     # explicit half-step of the swing equation), turbine stages couple
@@ -523,7 +516,7 @@ def step_system(state: SystemState) -> dict:
     # the average of the old and new mechanical power: every cross-block
     # coupling is second-order accurate in dt
     w = state.rotor[1]
-    dw = w + c.half_dt * mach.swing_accel(state.p_mech, state.p_elec, w, c.damping,
+    dw = w + c.half_dt * mach.swing_accel(state.p_mech, state.p_elec, w, damping,
                                           state.two_h)
     p_m = np.zeros(len(state.online))
     steam, hydro = state.banks["thermal"], state.banks["hydro"]
@@ -533,9 +526,8 @@ def step_system(state: SystemState) -> dict:
     gate_prev = hydro.gov.gate
     mach.hydro_governor_step(hydro.gov, dw[hydro.idx], hydro.k)
     p_m[hydro.idx] = mach.hydro_turbine_step(hydro.gov, hydro.k, gate_prev=gate_prev)
-    # an assignment: scaling by ``online`` would write -0.0
-    p_m[on.off] = 0.0
-    p_m_eff = mach.HALF * (state.p_mech[on.idx] + p_m[on.idx])
+    p_m = np.where(online, p_m, 0.0)
+    p_m_eff = mach.HALF * (state.p_mech + p_m)
 
     # coupled RK4 over all rotor angles and speeds, stacked as rows of
     # one array; the network algebraic constraint is re-solved at every
@@ -545,11 +537,11 @@ def step_system(state: SystemState) -> dict:
     def derivs(x, pe):
         k = np.empty_like(x)
         np.multiply(c.ws, x[1], out=k[0])
-        k[1] = mach.swing_accel(p_m_eff, pe, x[1], c.damping, on.two_h)
+        k[1] = mach.swing_accel(p_m_eff, pe, x[1], damping, state.two_h)
         return k
 
-    state.rotor[:, on.idx] = mach.rk4(lambda x: derivs(x, network(x)[2] * base / rating),
-                                      x0, derivs(x0, pe0), c.dt, c.half_dt)
+    state.rotor = mach.rk4(lambda x: derivs(x, network(x)[2] * base / rating),
+                           x0, derivs(x0, pe0), c.dt, c.half_dt)
     state.p_mech = p_m
 
     state.est_filt, state.freq = estimate_frequency(theta, state.theta, state.est_filt,
@@ -574,9 +566,9 @@ def step_system(state: SystemState) -> dict:
 
 
 def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
-    """Trip a generator in every member: take it off the network.  The
-    schedule was checked at load; an unknown id raises ``ValueError``, and
-    the factorization an exactly singular matrix ``IslandingError``."""
+    """Trip a generator in every member: clear its ``online`` flag and zero
+    its powers.  The schedule was checked at load; an unknown id raises
+    ``ValueError``, and a trip of the last online unit ``IslandingError``."""
     gens = state.model.generators
     g = [gen.id for gen in gens].index(event.generator)
     n_gen = len(gens)

@@ -134,8 +134,9 @@ class InverseFactor:
     ``solve`` takes one right-hand side per row and returns one solution
     per row.  Each row is its own vector-matrix product, so a member's
     solution is bit for bit the one its solo run gets; a single matrix
-    product over all rows would not be.  A singular matrix raises
-    ``IslandingError``.
+    product over all rows would not be.  Only an exactly zero pivot raises
+    ``IslandingError``; the engine's B_aug is singular exactly when no
+    unit is online, which ``SystemState.refactorize`` checks first.
     """
 
     def __init__(self, b: np.ndarray):

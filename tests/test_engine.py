@@ -276,9 +276,9 @@ class TestInitAndStep:
 
     def test_cached_values_match_a_rebuild_after_every_step(self, ieee39):
         """A step reuses the injections of its profile second until a relay
-        commits, and the online machines' values until a trip: after every
-        step of a shedding run with a trip and commits inside a second,
-        what the next step reuses equals a rebuild from scratch."""
+        commits: after every step of a shedding run with a trip and commits
+        inside a second, what the next step reuses equals a rebuild from
+        scratch."""
         p = SimParams.from_model(ieee39)
         sc = Scenario(name="c", case="B", duration_s=8, seed=1)
         st = init_system(ieee39, [sc], p, [build_profiles(ieee39, sc, p)])
@@ -296,13 +296,6 @@ class TestInitAndStep:
                 for name in ("pu", "member_mw"):
                     np.testing.assert_array_equal(getattr(st._inj, name),
                                                   getattr(fresh, name))
-            on = st.online.nonzero()[0]
-            np.testing.assert_array_equal(st._on.idx, on)
-            np.testing.assert_array_equal(st._on.off, ~st.online)
-            for view, full in (("bus", "gen_bus"), ("b_coupling", "b_coupling"),
-                               ("rating", "rating"), ("two_h", "two_h")):
-                np.testing.assert_array_equal(getattr(st._on, view),
-                                              getattr(st, full)[on])
         assert not st.online[[3, 5]].any()
         assert mid_second_commits >= 1
 
@@ -468,7 +461,9 @@ class TestEnsemble:
             solo = run_scenario(ieee39, sc, params=p)
             for name, value in vars(solo).items():
                 if isinstance(value, np.ndarray):
-                    assert np.array_equal(getattr(tr, name), value), name
+                    # tobytes, not array_equal, which takes -0.0 for 0.0
+                    got = getattr(tr, name)
+                    assert (got.dtype, got.tobytes()) == (value.dtype, value.tobytes()), name
                 else:
                     assert getattr(tr, name) == value, name
 

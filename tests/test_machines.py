@@ -301,20 +301,30 @@ class TestSwing:
         want = (dp / d) * (1.0 - np.exp(-d * tr.times / (2.0 * h)))
         np.testing.assert_allclose(tr.gen_speed_dev[:, 0], want, rtol=1e-9)
 
-    def test_offline_machine_is_inert(self, four_bus):
-        """A tripped machine keeps its rotor state and produces nothing."""
-        params = SimParams.from_model(four_bus, ufls_enabled=False)
-        sc = Scenario(name="trip", case="A", duration_s=4.0,
-                      events=(ContingencyEvent(1.0, "G2"),))
-        tr = run_scenario(four_bus, sc, params=params)
-        j = tr.gen_ids.index("G2")
-        after = tr.times > 1.0
-        assert tr.gen_speed_dev[-1, j] != 0.0
-        assert np.all(tr.gen_speed_dev[after, j] == tr.gen_speed_dev[-1, j])
-        assert np.all(tr.gen_online[after, j] == 0.0)
-        assert np.all(tr.gen_p_mech[after, j] == 0.0)
-        assert np.all(tr.gen_p_elec[after, j] == 0.0)
-        assert np.ptp(tr.gen_speed_dev[after, 1 - j]) > 0.0
+    def test_offline_machine_is_inert(self, four_bus, tmp_path):
+        """A tripped machine keeps its speed and produces nothing, recorded
+        and exported as +0, never -0.  In the run with shedding the
+        frequency recovers past the tripped rotor's held speed, so its bus
+        angle overtakes the rotor angle and a zero coupling times their
+        difference is -0.0."""
+        for g, ufls, duration_s in (("G2", False, 4.0), ("G1", True, 20.0)):
+            params = SimParams.from_model(four_bus, ufls_enabled=ufls)
+            sc = Scenario(name="trip", case="A", duration_s=duration_s,
+                          events=(ContingencyEvent(1.0, g),))
+            tr = run_scenario(four_bus, sc, params=params)
+            j = tr.gen_ids.index(g)
+            after = tr.times > 1.0
+            assert tr.gen_speed_dev[-1, j] != 0.0
+            assert np.all(tr.gen_speed_dev[after, j] == tr.gen_speed_dev[-1, j])
+            assert np.all(tr.gen_online[after, j] == 0.0)
+            assert np.all(tr.gen_p_mech[after, j] == 0.0)
+            assert np.all(tr.gen_p_elec[after, j] == 0.0)
+            assert not np.signbit(tr.gen_p_mech[:, j]).any()
+            assert not np.signbit(tr.gen_p_elec[:, j]).any()
+            assert np.ptp(tr.gen_speed_dev[after, 1 - j]) > 0.0
+            tr.to_csv(tmp_path / f"{g}.csv")
+            rows = (tmp_path / f"{g}.csv").read_text().splitlines()[1:]
+            assert "-0" not in {field for row in rows for field in row.split(",")}
 
     def test_rejects_nonpositive_inertia(self):
         doc = two_bus_doc()

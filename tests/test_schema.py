@@ -222,8 +222,12 @@ class TestRepeatedKeys:
 
 
 class TestAllUnitsTripped:
-    def test_trip_of_the_last_unit_raises(self, two_bus, four_bus):
-        for model, trips in ((two_bus, ["G1"]), (four_bus, ["G1", "G2"])):
+    def test_trip_of_the_last_unit_raises(self, two_bus, four_bus, ieee39):
+        """Each unit in turn: no error until the last trip, which raises
+        even where the inversion alone would not (IEEE-39's bare Laplacian
+        inverts to entries of about 1e13)."""
+        for model, trips in ((two_bus, ["G1"]), (four_bus, ["G1", "G2"]),
+                             (ieee39, [g.id for g in ieee39.generators])):
             params = SimParams.from_model(model, **FLAT)
             sc = Scenario(name="x", case="A", duration_s=2.0)
             st = init_system(model, [sc], params, [build_profiles(model, sc, params)])
