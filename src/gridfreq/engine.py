@@ -286,18 +286,18 @@ class SystemState:
     def speed_dev(self) -> np.ndarray:
         return self.rotor[1]
 
-    def refactorize(self) -> None:
-        """Rebuild B_aug (the Laplacian plus the online units' coupling) and
-        its factor.  The network is connected, so B_aug is singular exactly
-        when no unit is online: that raises ``IslandingError``."""
-        n_gen = len(self.model.generators)
-        on = self.online[:n_gen]
+    def refactorize(self, on: np.ndarray) -> None:
+        """Rebuild B_aug (the Laplacian plus the coupling of the units that
+        ``on`` marks online, one flag per generator) and its factor, and keep
+        both once the factor exists.  The network is connected, so B_aug is
+        singular exactly when no unit is online: that raises
+        ``IslandingError`` and leaves the state as it was."""
         if not on.any():
             raise IslandingError("network solve singular: no unit online")
         diag = np.zeros(len(self.model.buses))
-        diag[self.gen_bus[:n_gen]] = self.b_coupling[:n_gen] * on
-        self._b_aug = self._b_full + np.diag(diag)
-        self._b_aug_lu = spla.splu(self._b_aug)
+        diag[self.gen_bus[:len(on)]] = self.b_coupling[:len(on)] * on
+        b_aug = self._b_full + np.diag(diag)
+        self._b_aug_lu, self._b_aug = spla.splu(b_aug), b_aug
 
     def injections(self, sec: int) -> _Injections:
         """Net non-machine bus injections of profile second ``sec`` at the
@@ -462,7 +462,7 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
         est_filt=np.zeros(n_members * n), freq=np.full(n_members * n, model.f0),
         max_residual=np.zeros(n_members),
         _b_full=build_full_susceptance_matrix(model))
-    state.refactorize()
+    state.refactorize(state.online[:n_gen])
     return state
 
 
@@ -566,15 +566,16 @@ def step_system(state: SystemState) -> dict:
 
 
 def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
-    """Trip a generator in every member: clear its ``online`` flag and zero
-    its powers.  The schedule was checked at load; an unknown id raises
-    ``ValueError``, and a trip of the last online unit ``IslandingError``."""
+    """Trip a generator in every member: factor the new network, then clear
+    its ``online`` flag and zero its powers.  The schedule was checked at
+    load; an unknown id raises ``ValueError``, and a trip of the last online
+    unit ``IslandingError``, both before any state changes."""
     gens = state.model.generators
     g = [gen.id for gen in gens].index(event.generator)
     n_gen = len(gens)
+    state.refactorize(state.online[:n_gen] & (np.arange(n_gen) != g))
     state.online[g::n_gen] = False
     state.p_mech[g::n_gen] = state.p_elec[g::n_gen] = 0.0
-    state.refactorize()
     logger.info("t=%.2fs: tripped %s (%.0f MVA)", state.clock,
                 event.generator, state.rating[g])
 

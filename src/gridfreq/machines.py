@@ -2,8 +2,8 @@
 
 Two prime-mover chains are provided:
 
-* a tandem-compound steam unit — proportional speed governor, speed-relay
-  lag, rate- and position-limited hydraulic servomotor, and a cascade of
+* a tandem-compound steam unit — proportional speed governor driving a
+  rate- and position-limited hydraulic servomotor, and a cascade of
   first-order turbine stages (steam chest, reheater, crossover) with
   per-stage power fractions, and
 * a hydro unit — PI governor with permanent-droop feedback of gate
@@ -19,9 +19,8 @@ Two prime-mover chains are provided:
 
 All scalar first-order lags are advanced by exact exponential
 discretization, so they are unconditionally stable regardless of the
-step size (the speed-relay time constant is 1 ms, far below typical
-integration steps).  Every run-fixed operand of a step (the parameters,
-dt, the lag decays exp(-dt/tau) and derived values, made once by
+step size.  Every run-fixed operand of a step (the parameters, dt, the
+lag decays exp(-dt/tau) and derived values, made once by
 ``steam_constants``/``hydro_constants``) and every literal is a 0-d array:
 on numpy 2.4 a ufunc call costs about 0.45 us more with a Python float.
 
@@ -91,7 +90,6 @@ def swing_accel(p_m, p_e, w, damping, two_h):
 @dataclass(frozen=True)
 class SteamParams:
     gain: float = 20.0             # governor gain, 1/droop
-    t_relay: float = 0.001         # speed-relay (speed delay) time constant, s
     t_servo: float = 0.15          # servomotor time constant, s
     rate_open: float = 0.1         # max valve opening rate, p.u./s
     rate_close: float = -0.1       # max valve closing rate, p.u./s
@@ -108,7 +106,6 @@ class SteamParams:
 @dataclass(slots=True)
 class SteamGovState:
     load_ref: float = 0.0          # valve set-point from dispatch
-    relay_out: float = 0.0         # speed-relay lag state
     valve: float = 0.0             # servomotor valve position C_v
     p_chest: float = 0.0           # turbine stage states
     p_reheat: float = 0.0
@@ -118,7 +115,7 @@ class SteamGovState:
 
 def steam_constants(params: SteamParams, dt: float) -> SimpleNamespace:
     """The run-fixed operands of a steam step (``_operands``); its lag
-    decays are ``relay``, ``servo``, ``chest``, ``reheat`` and ``crossover``."""
+    decays are ``servo``, ``chest``, ``reheat`` and ``crossover``."""
     return _operands(params, dt)
 
 
@@ -126,9 +123,8 @@ def steam_init(p_set: float, params: SteamParams,
                reserve: float = math.inf) -> SteamGovState:
     """Equilibrium state producing mechanical power ``p_set`` (machine p.u.)."""
     cap = np.minimum(params.valve_max, p_set + reserve)
-    return SteamGovState(load_ref=p_set, relay_out=p_set, valve=p_set,
-                         p_chest=p_set, p_reheat=p_set, p_crossover=p_set,
-                         valve_cap=cap)
+    return SteamGovState(load_ref=p_set, valve=p_set, p_chest=p_set,
+                         p_reheat=p_set, p_crossover=p_set, valve_cap=cap)
 
 
 def steam_governor_step(s: SteamGovState, delta_omega: float,
@@ -139,13 +135,11 @@ def steam_governor_step(s: SteamGovState, delta_omega: float,
     load reference plus gain times the negated speed deviation.
     """
     demand = s.load_ref + k.gain * (ZERO - delta_omega)
-    relay = _lag(s.relay_out, demand, k.relay)
-    # exact lag toward the relay output unless the implied rate saturates
-    candidate = _lag(s.valve, relay, k.servo)
+    # exact lag toward the demand unless the implied rate saturates
+    candidate = _lag(s.valve, demand, k.servo)
     rate = np.minimum(np.maximum((candidate - s.valve) / k.dt, k.rate_close),
                       k.rate_open)
     valve = s.valve + rate * k.dt
-    s.relay_out = relay
     s.valve = np.minimum(np.maximum(valve, k.valve_min),
                          np.minimum(k.valve_max, s.valve_cap))
 

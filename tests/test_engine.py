@@ -22,6 +22,7 @@ from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError,
                              build_profiles, init_system, load_scenario,
                              run_scenario, step_system)
 from gridfreq.grid import GridConfigError
+from gridfreq.metrics import compute_metrics
 from gridfreq.profiles import ProfileError
 
 from tests.conftest import FLAT, four_bus_doc
@@ -386,7 +387,6 @@ class TestTrajectory:
         assert tr.load_expected_mw.shape == (41, 2)
 
     def test_zero_contingency_zero_shed(self, four_bus):
-        from gridfreq.metrics import compute_metrics
         p = quick_params(four_bus)
         sc = Scenario(name="quiet", case="A", duration_s=10)
         tr = run_scenario(four_bus, sc, params=p)
@@ -496,6 +496,56 @@ class TestEnsemble:
         profiles = [build_profiles(four_bus, same, p)]
         with pytest.raises(ScenarioError, match="one per member"):
             gf.run_ensemble(four_bus, [same, same], params=p, profiles=profiles)
+
+
+class TestInvariance:
+    """Metamorphic relations (Segura et al., "A survey on metamorphic
+    testing", IEEE TSE 42(9), 2016): two descriptions of one physical grid
+    give the same answer, which needs no oracle.  Each batch runs IEEE-39
+    for 30 s, seeds 1 and 2 in cases A and B, with G4 and G6 tripped at
+    10 s, so that every member sheds."""
+
+    @staticmethod
+    def run(model):
+        scenarios = [Scenario(name=f"{case}{seed}", case=case, seed=seed,
+                              duration_s=30.0,
+                              events=(ContingencyEvent(10.0, "G4"),
+                                      ContingencyEvent(10.0, "G6")))
+                     for seed in (1, 2) for case in "AB"]
+        return gf.run_ensemble(model, scenarios, params=SimParams.from_model(model))
+
+    @pytest.fixture(scope="class")
+    def base(self, ieee39):
+        batch = self.run(ieee39)
+        assert all(tr.shed_level.max() > 0.0 for tr in batch)
+        return batch
+
+    @staticmethod
+    def assert_same_answer(got, want):
+        """Equal shed levels, bus frequencies within 1e-10 Hz and metrics
+        within 1e-12 relative, each bus matched by its id."""
+        for g, w in zip(got, want, strict=True):
+            buses = [g.bus_ids.index(b) for b in w.bus_ids]
+            loads = [g.load_bus_ids.index(b) for b in w.load_bus_ids]
+            assert np.array_equal(g.shed_level[:, loads], w.shed_level)
+            assert np.max(np.abs(g.bus_freq[:, buses] - w.bus_freq)) < 1e-10
+            mg, mw = compute_metrics(g), compute_metrics(w)
+            for name in ("r_ls", "t_ls_s", "eens_mwh"):
+                assert getattr(mg, name) == pytest.approx(getattr(mw, name),
+                                                          rel=1e-12, abs=0.0), name
+
+    def test_per_unit_base(self, ieee39, base):
+        """Ten times the MVA base with every line susceptance a tenth is
+        the same grid in other units."""
+        model = replace(ieee39, base_mva=10.0 * ieee39.base_mva,
+                        lines=tuple(replace(ln, susceptance=ln.susceptance / 10.0)
+                                    for ln in ieee39.lines))
+        self.assert_same_answer(self.run(model), base)
+
+    def test_bus_order(self, ieee39, base):
+        """The buses listed in reverse order are the same grid."""
+        self.assert_same_answer(self.run(replace(ieee39, buses=ieee39.buses[::-1])),
+                                base)
 
 
 def test_a_run_loads_no_scipy():

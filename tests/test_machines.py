@@ -124,8 +124,8 @@ class TestSteam:
         dt = 0.01
         horizon = 20.0
         # hold the valve at 1.0 (bypass governor) and advance the cascade
-        s = s.__class__(load_ref=0.0, relay_out=0.0, valve=1.0,
-                        p_chest=0.0, p_reheat=0.0, p_crossover=0.0)
+        s = s.__class__(load_ref=0.0, valve=1.0, p_chest=0.0, p_reheat=0.0,
+                        p_crossover=0.0)
         n = int(round(horizon / dt))
         got_t = (np.arange(n) + 1) * dt
         got_p = np.empty(n)
@@ -144,6 +144,43 @@ class TestSteam:
         want = (params.f_hp * sol.y[0] + params.f_ip * sol.y[1]
                 + params.f_lp * sol.y[2])
         assert np.max(np.abs(got_p - want)) < 2e-3
+
+    def test_governor_and_turbine_converge_at_second_order(self):
+        """Servo and turbine cascade driven by a sinusoidal speed deviation
+        sampled at each step's midpoint, as the engine supplies it, against
+        solve_ivp of the same lags: each halving of dt divides the largest
+        P_m error by four.  The valve moves at under 0.04 p.u./s, inside
+        its rate limit, so the reference needs no clip."""
+        params, horizon = SteamParams(), 4.0
+
+        def dw(t):
+            return 1e-3 * np.sin(2.0 * t)
+
+        def rhs(t, y):
+            valve, ch, rh, co = y
+            demand = 0.5 - params.gain * dw(t)
+            return [(demand - valve) / params.t_servo,
+                    (valve - ch) / params.t_chest,
+                    (ch - rh) / params.t_reheat,
+                    (rh - co) / params.t_crossover]
+
+        errors = []
+        for dt in (0.02, 0.01, 0.005, 0.0025, 0.00125):
+            n = int(round(horizon / dt))
+            s, k = steam_init(0.5, params, reserve=1.0), steam_constants(params, dt)
+            got = np.empty(n)
+            for j in range(n):
+                valve_prev = s.valve
+                steam_governor_step(s, dw((j + 0.5) * dt), k)
+                got[j] = steam_turbine_step(s, k, valve_prev)
+            t = (np.arange(n) + 1) * dt
+            sol = solve_ivp(rhs, (0.0, horizon), [0.5] * 4, method="DOP853",
+                            t_eval=t, rtol=1e-12, atol=1e-14)
+            want = (params.f_hp * sol.y[1] + params.f_ip * sol.y[2]
+                    + params.f_lp * sol.y[3])
+            errors.append(np.max(np.abs(got - want)))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (errors, ratios)
 
     def test_mech_power_helper_consistent(self):
         """P_m is the fraction-weighted sum of the advanced stage states."""
@@ -382,14 +419,14 @@ def steam_bank(values, flags):
     # large speed deviations against slow servos reach the valve rate
     # limit; caps below the valve demand reach the valve cap
     state = SteamGovState(
-        load_ref=values(0.0, 1.0), relay_out=values(-1.0, 3.0),
-        valve=values(0.0, 1.5), p_chest=values(0.0, 1.5),
-        p_reheat=values(0.0, 1.5), p_crossover=values(0.0, 1.5),
+        load_ref=values(0.0, 1.0), valve=values(0.0, 1.5),
+        p_chest=values(0.0, 1.5), p_reheat=values(0.0, 1.5),
+        p_crossover=values(0.0, 1.5),
         valve_cap=np.where(flags(), math.inf, values(0.0, 1.5)))
     params = SteamParams(
-        gain=values(5.0, 50.0), t_relay=values(1e-3, 0.1),
-        t_servo=values(0.02, 0.5), rate_open=values(0.01, 0.5),
-        rate_close=values(-0.5, -0.01), t_chest=values(0.05, 1.0),
+        gain=values(5.0, 50.0), t_servo=values(0.02, 0.5),
+        rate_open=values(0.01, 0.5), rate_close=values(-0.5, -0.01),
+        t_chest=values(0.05, 1.0),
         t_reheat=values(1.0, 10.0), t_crossover=values(0.1, 1.0),
         f_hp=values(0.0, 0.5), f_ip=values(0.0, 0.5), f_lp=values(0.0, 0.5))
     return state, params, values(-0.1, 0.1)

@@ -13,6 +13,7 @@ import math
 import tempfile
 from importlib.resources import files
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -24,8 +25,8 @@ from gridfreq.cli import EXIT_OK, EXIT_VALIDATION, main
 from gridfreq.engine import (ContingencyEvent, Scenario, ScenarioError, SimParams,
                              apply_contingency, build_profiles, init_system,
                              step_system)
-from gridfreq.grid import GridConfigError, IslandingError
-from gridfreq import schema
+from gridfreq.grid import GridConfigError, InverseFactor, IslandingError
+from gridfreq import engine, schema
 from gridfreq.schema import read_yaml
 
 from tests.conftest import FLAT, four_bus_doc, two_bus_doc
@@ -222,19 +223,33 @@ class TestRepeatedKeys:
 
 
 class TestAllUnitsTripped:
-    def test_trip_of_the_last_unit_raises(self, two_bus, four_bus, ieee39):
+    def test_trip_of_the_last_unit_raises(self, monkeypatch, two_bus, four_bus,
+                                          ieee39):
         """Each unit in turn: no error until the last trip, which raises
         even where the inversion alone would not (IEEE-39's bare Laplacian
-        inverts to entries of about 1e13)."""
+        inverts to entries of about 1e13).  The failed trip changes no
+        state, so the next step still balances; each trip that succeeds
+        factors the network once."""
+        factors = []
+        monkeypatch.setattr(engine, "spla", SimpleNamespace(
+            splu=lambda b: factors.append(b) or InverseFactor(b)))
         for model, trips in ((two_bus, ["G1"]), (four_bus, ["G1", "G2"]),
                              (ieee39, [g.id for g in ieee39.generators])):
             params = SimParams.from_model(model, **FLAT)
             sc = Scenario(name="x", case="A", duration_s=2.0)
+            factors.clear()
             st = init_system(model, [sc], params, [build_profiles(model, sc, params)])
             for g in trips[:-1]:
                 apply_contingency(st, ContingencyEvent(0.0, g))
+            assert len(factors) == len(trips)
+            before = [st.online.tobytes(), st.p_mech.tobytes(), st.p_elec.tobytes()]
+            lu = st._b_aug_lu
             with pytest.raises(IslandingError, match="network solve singular"):
                 apply_contingency(st, ContingencyEvent(0.0, trips[-1]))
+            assert [st.online.tobytes(), st.p_mech.tobytes(),
+                    st.p_elec.tobytes()] == before
+            assert st._b_aug_lu is lu and len(factors) == len(trips)
+            assert step_system(st)["balance_mw"] < 1e-9
 
     @pytest.mark.parametrize("doc, trips", [(two_bus_doc(), ["G1"]),
                                             (four_bus_doc(), ["G1", "G2"])])
