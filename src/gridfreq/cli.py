@@ -73,8 +73,8 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: output directory {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_RUNTIME
-    # members of one ensemble share a schedule; each batch keeps every
-    # member's trajectory in memory until the batch ends
+    # members of one ensemble share a horizon and steps, whatever they
+    # trip; each batch keeps every member's trajectory in memory until it ends
     batches: dict[tuple, list[engine.Scenario]] = {}
     for sc in scenarios:
         batches.setdefault(sc.schedule, []).append(sc)

@@ -6,9 +6,9 @@ advance by 4th-order explicit stages, all scalar lags by exact
 discretization.  Profiles have 1 s resolution and are held constant
 within each second.  A scenario run is fully determined by
 (grid config, scenario, seed) and replays bit-identically.  Scenarios
-that share an event schedule can run as one ensemble, stepped side by
-side through one factorization; each member's trajectory is bit for bit
-its solo run's.
+that share only the horizon and the steps can run as one ensemble,
+stepped side by side, each member tripping its own units in its own
+network factor; each member's trajectory is bit for bit its solo run's.
 """
 
 from __future__ import annotations
@@ -99,8 +99,9 @@ class Scenario:
 
     @property
     def schedule(self) -> tuple:
-        """What the members of one ensemble must share to step together."""
-        return (self.events, self.duration_s, self.dt_s, self.output_dt_s)
+        """What the members of one ensemble must share to step together:
+        the horizon and the steps, not the trips."""
+        return (self.duration_s, self.dt_s, self.output_dt_s)
 
     def event_step(self, ev: ContingencyEvent) -> int:
         """The step before which ``ev`` fires."""
@@ -240,7 +241,7 @@ class _Injections:
 
 @dataclass
 class SystemState:
-    """Mutable state of members that share grid, parameters and events.
+    """Mutable state of members that share grid, parameters and steps.
 
     Per-machine and per-bus arrays are flat and member-major (entry
     ``m * n_gen + g`` is generator ``g`` of member ``m``); per-second
@@ -261,7 +262,7 @@ class SystemState:
     rotor: np.ndarray               # rows: rotor angle (rad), speed deviation (p.u.)
     p_mech: np.ndarray              # mechanical power, machine p.u. (0 once tripped)
     p_elec: np.ndarray              # last electrical power, machine p.u.
-    online: np.ndarray              # bool; a trip takes a generator off in every member
+    online: np.ndarray              # bool; a trip takes a unit off in the members it names
     banks: dict[str, _Bank]         # governor bank per kind: 'thermal', 'hydro'
     relays: list[UflsRelayState]    # one per load bus of each member
     load_bus_idx: np.ndarray        # flat bus positions
@@ -276,7 +277,7 @@ class SystemState:
     _b_full: np.ndarray
     theta: np.ndarray | None = None     # bus angles of the last solve, rad
     clock: float = 0.0
-    # set by refactorize at every topology change
+    # set by refactorize at every topology change, one matrix per member
     _b_aug_lu: object = None
     _b_aug: np.ndarray | None = None
     # injections the next step reuses; None has it rebuild them
@@ -287,16 +288,16 @@ class SystemState:
         return self.rotor[1]
 
     def refactorize(self, on: np.ndarray) -> None:
-        """Rebuild B_aug (the Laplacian plus the coupling of the units that
-        ``on`` marks online, one flag per generator) and its factor, and keep
-        both once the factor exists.  The network is connected, so B_aug is
-        singular exactly when no unit is online: that raises
-        ``IslandingError`` and leaves the state as it was."""
-        if not on.any():
+        """Rebuild each member's B_aug (the Laplacian plus the coupling of the
+        units that ``on``, flat like ``online``, marks online) and their
+        factor, and keep both once the factor exists.  The network is
+        connected, so a B_aug is singular exactly when its member has no unit
+        online: that raises ``IslandingError`` and leaves the state as it was."""
+        if not self.per_member(on).any(axis=1).all():
             raise IslandingError("network solve singular: no unit online")
-        diag = np.zeros(len(self.model.buses))
-        diag[self.gen_bus[:len(on)]] = self.b_coupling[:len(on)] * on
-        b_aug = self._b_full + np.diag(diag)
+        diag = np.zeros(len(self.freq))
+        diag[self.gen_bus] = self.b_coupling * on
+        b_aug = self._b_full + self.per_member(diag)[:, :, None] * np.eye(len(self._b_full))
         self._b_aug_lu, self._b_aug = spla.splu(b_aug), b_aug
 
     def injections(self, sec: int) -> _Injections:
@@ -368,11 +369,11 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
 
     The members step together, so their scenarios must share one
     ``Scenario.schedule`` and name only generators of ``model``;
-    otherwise this raises ``ScenarioError``.  A profile series of a load,
-    wind or dispatched bus that is missing, short or not finite raises
-    ``ProfileError`` before any is read.  The forecast operating point
-    depends only on the grid and the parameters, so every member starts
-    from the same equilibrium.
+    otherwise this raises ``ScenarioError``; each keeps its own trips.  A
+    profile series of a load, wind or dispatched bus that is missing, short
+    or not finite raises ``ProfileError`` before any is read.  The forecast
+    operating point depends only on the grid and the parameters, so every
+    member starts from the same equilibrium.
     """
     if not scenarios or len(profiles) != len(scenarios):
         raise ScenarioError(f"{len(scenarios)} scenarios and {len(profiles)} "
@@ -380,8 +381,7 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
     for sc in scenarios:
         sc.validate_against(model)
     if len({sc.schedule for sc in scenarios}) > 1:
-        raise ScenarioError("an ensemble's members need the same events, "
-                            "duration and steps")
+        raise ScenarioError("an ensemble's members need the same duration and steps")
     n = len(model.buses)
     n_members = len(scenarios)
     idx = model.bus_pos
@@ -462,7 +462,7 @@ def init_system(model: GridModel, scenarios: list[Scenario], params: SimParams,
         est_filt=np.zeros(n_members * n), freq=np.full(n_members * n, model.f0),
         max_residual=np.zeros(n_members),
         _b_full=build_full_susceptance_matrix(model))
-    state.refactorize(state.online[:n_gen])
+    state.refactorize(state.online)
     return state
 
 
@@ -565,19 +565,22 @@ def step_system(state: SystemState) -> dict:
             "balance_mw": float(np.maximum.reduce(np.abs(balance_mw)))}
 
 
-def apply_contingency(state: SystemState, event: ContingencyEvent) -> None:
-    """Trip a generator in every member: factor the new network, then clear
-    its ``online`` flag and zero its powers.  The schedule was checked at
-    load; an unknown id raises ``ValueError``, and a trip of the last online
-    unit ``IslandingError``, both before any state changes."""
+def apply_contingency(state: SystemState, event: ContingencyEvent, members: list[int]) -> None:
+    """Trip a generator in ``members`` (positions in the batch): factor the
+    new networks, then clear its ``online`` flags and zero its powers.  The
+    schedule was checked at load; an unknown id raises ``ValueError``, and
+    a trip of a member's last online unit ``IslandingError``, both before
+    any state changes."""
     gens = state.model.generators
     g = [gen.id for gen in gens].index(event.generator)
-    n_gen = len(gens)
-    state.refactorize(state.online[:n_gen] & (np.arange(n_gen) != g))
-    state.online[g::n_gen] = False
-    state.p_mech[g::n_gen] = state.p_elec[g::n_gen] = 0.0
-    logger.info("t=%.2fs: tripped %s (%.0f MVA)", state.clock,
-                event.generator, state.rating[g])
+    flat = np.asarray(members, dtype=int) * len(gens) + g
+    on = state.online.copy()
+    on[flat] = False
+    state.refactorize(on)
+    state.online[flat] = False
+    state.p_mech[flat] = state.p_elec[flat] = 0.0
+    logger.info("t=%.2fs: tripped %s (%.0f MVA) in %d members", state.clock,
+                event.generator, state.rating[g], len(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +671,9 @@ def run_ensemble(model: GridModel, scenarios: list[Scenario],
                  profiles: list[ProfileSet] | None = None) -> list[Trajectory]:
     """Run scenarios that share one ``Scenario.schedule`` as one batch.
 
-    The members (any mix of seeds and cases) step side by side through
-    one factorization and one Python loop per step; each member's
-    trajectory is bit for bit the one ``run_scenario`` gives for it.
+    The members (any mix of seeds, cases and trips) step side by side
+    through one Python loop per step; each member's trajectory is bit for
+    bit the one ``run_scenario`` gives for it.
     """
     if params is None:
         params = SimParams.from_model(model)
@@ -682,9 +685,12 @@ def run_ensemble(model: GridModel, scenarios: list[Scenario],
     dt = first.dt_s
     dec = first.steps_per_record
     n_rec = first.n_steps // dec + 1
-    due: dict[int, list[ContingencyEvent]] = {}
-    for ev in sorted(first.events, key=lambda e: e.time_s):
-        due.setdefault(first.event_step(ev), []).append(ev)
+    # step -> unit -> (event, members): one factorization per unit and step
+    due: dict[int, dict[str, tuple[ContingencyEvent, list[int]]]] = {}
+    for m, sc in enumerate(scenarios):
+        for ev in sc.events:
+            at_step = due.setdefault(sc.event_step(ev), {})
+            at_step.setdefault(ev.generator, (ev, []))[1].append(m)
 
     def channels() -> dict[str, np.ndarray]:
         """Each recorded ``Trajectory`` field as a flat state array."""
@@ -710,8 +716,8 @@ def run_ensemble(model: GridModel, scenarios: list[Scenario],
 
     record(0)
     for k in range(first.n_steps):
-        for ev in due.get(k, ()):
-            apply_contingency(state, ev)
+        for ev, members in due.get(k, {}).values():
+            apply_contingency(state, ev, members)
         step_system(state)
         if (k + 1) % dec == 0:
             record((k + 1) // dec)

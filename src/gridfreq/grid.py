@@ -129,8 +129,9 @@ def build_full_susceptance_matrix(model: GridModel) -> np.ndarray:
 
 
 class InverseFactor:
-    """One network matrix, inverted once, that solves for many members.
+    """Network matrices, each inverted once, that solve for many members.
 
+    ``b`` is one matrix for every row, or a stack of one matrix per row.
     ``solve`` takes one right-hand side per row and returns one solution
     per row.  Each row is its own vector-matrix product, so a member's
     solution is bit for bit the one its solo run gets; a single matrix
@@ -145,7 +146,7 @@ class InverseFactor:
         except np.linalg.LinAlgError as exc:
             raise IslandingError(f"network solve singular: {exc}") from exc
         # x = B^-1 r as a row is r^T B^-T: rows of the rhs times the transpose
-        self._inv_t = np.ascontiguousarray(inv.T)
+        self._inv_t = np.ascontiguousarray(np.swapaxes(inv, -1, -2))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return (rhs[:, None, :] @ self._inv_t)[:, 0]

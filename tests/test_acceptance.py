@@ -11,9 +11,7 @@ determinism.
 
 import dataclasses
 import json
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib.resources import files
 
 import numpy as np
@@ -372,36 +370,25 @@ def _scenario(name, case, seed):
                     events=tuple(ContingencyEvent(300.0, g) for g in TRIPS[name]))
 
 
-def _ensemble_runs(model, name):
-    """The non-default seeds of one contingency, both cases, stepped as one
-    ensemble; each member equals its solo run bit for bit."""
-    members = [(case, seed) for seed in SEEDS if seed != DEFAULT_SEED
-               for case in "AB"]
-    trajectories = run_ensemble(model, [_scenario(name, *m) for m in members],
-                                params=SimParams.from_model(model))
-    return {(name, case, seed): _summary(tr)
-            for (case, seed), tr in zip(members, trajectories)}
-
-
 @pytest.fixture(scope="module")
 def study(ieee39):
     """All seed-paired runs for both contingencies, plus the wall time
     of the four default-seed scenario runs, which run solo one after
-    another; the other seeds run as one ensemble per contingency, each in
-    its own worker process."""
+    another; the other 36 runs, both contingencies, seeds and cases, step
+    as one ensemble, each member bit for bit its solo run."""
+    params = SimParams.from_model(ieee39)
     runs = {}
     default_elapsed = 0.0
     for name in TRIPS:
         for case in "AB":
             t0 = time.monotonic()
-            tr = run_scenario(ieee39, _scenario(name, case, DEFAULT_SEED),
-                              params=SimParams.from_model(ieee39))
+            tr = run_scenario(ieee39, _scenario(name, case, DEFAULT_SEED), params=params)
             runs[(name, case, DEFAULT_SEED)] = _summary(tr)
             default_elapsed += time.monotonic() - t0
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=len(TRIPS), mp_context=spawn) as pool:
-        for part in pool.map(_ensemble_runs, [ieee39] * len(TRIPS), TRIPS):
-            runs.update(part)
+    members = [(name, case, seed) for name in TRIPS for seed in SEEDS
+               if seed != DEFAULT_SEED for case in "AB"]
+    trajectories = run_ensemble(ieee39, [_scenario(*m) for m in members], params=params)
+    runs.update((m, _summary(tr)) for m, tr in zip(members, trajectories))
     return {"runs": runs, "default_elapsed": default_elapsed}
 
 

@@ -104,15 +104,17 @@ class TestRun:
         assert "tiny" in capsys.readouterr().out
 
     def test_one_batch_per_schedule(self, scenario_file, tmp_path, monkeypatch):
-        """An A/B pair with one trip runs as one batch and a scenario with
-        another trip as a second; every export is byte-equal to its solo
-        run's, and the summary keeps the input order."""
+        """An A/B pair with one trip and a scenario with another trip run
+        as one batch, and a scenario with another horizon as a second;
+        every export is byte-equal to its solo run's, and the summary
+        keeps the input order."""
         grid_path = tmp_path / "noisy.yaml"
         grid_path.write_text(yaml.safe_dump(four_bus_doc()))
         doc = yaml.safe_load(scenario_file.read_text())
         paths = [scenario_file]
         for name, changes in (("other", {"events": [{"time_s": 3, "generator": "G2"}]}),
-                              ("tiny_b", {"case": "B", "seed": 4})):
+                              ("tiny_b", {"case": "B", "seed": 4}),
+                              ("long", {"duration_s": 6})):
             paths.append(tmp_path / f"{name}.yaml")
             paths[-1].write_text(yaml.safe_dump({**doc, "name": name, **changes}))
         model = grid.load_grid_config(str(grid_path))
@@ -134,12 +136,12 @@ class TestRun:
         rc = main(["run", "--grid", str(grid_path), "--out", str(out),
                    *(arg for p in paths for arg in ("--scenario", str(p)))])
         assert rc == EXIT_OK
-        assert sizes == [2, 1]
-        for name in ("tiny", "other", "tiny_b"):
+        assert sizes == [3, 1]
+        for name in ("tiny", "other", "tiny_b", "long"):
             for f in ("trajectory.csv", "metrics.json"):
                 assert (out / name / f).read_bytes() == (solo / name / f).read_bytes()
         rows = (out / "summary.txt").read_text().splitlines()[1:]
-        assert [row.split()[0] for row in rows] == ["tiny", "other", "tiny_b"]
+        assert [row.split()[0] for row in rows] == ["tiny", "other", "tiny_b", "long"]
 
     @pytest.mark.parametrize("removed, named", [
         pytest.param(["run", "--jobs", "0"], "--jobs", id="0"),

@@ -32,6 +32,17 @@ def quick_params(model, **kw):
     return SimParams.from_model(model, **{**FLAT, **kw})
 
 
+def assert_same_bytes(got, want):
+    """Every field of two trajectories equal, each array by dtype and bytes
+    (not array_equal, which takes -0.0 for 0.0)."""
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            g = getattr(got, name)
+            assert (g.dtype, g.tobytes()) == (value.dtype, value.tobytes()), name
+        else:
+            assert getattr(got, name) == value, name
+
+
 class TestScenario:
     def test_case_must_be_a_or_b(self):
         with pytest.raises(ScenarioError, match="case"):
@@ -270,7 +281,7 @@ class TestInitAndStep:
         worst = 0.0
         for k in range(1000):
             if k == 400:
-                apply_contingency(st, ContingencyEvent(4.0, "G7"))
+                apply_contingency(st, ContingencyEvent(4.0, "G7"), [0])
             rec = step_system(st)
             worst = max(worst, abs(rec["balance_mw"]))
         assert worst < 1e-9 * ieee39.base_mva
@@ -287,7 +298,7 @@ class TestInitAndStep:
         for k in range(sc.n_steps):
             if k == 250:                    # at 2.5 s, inside second 2
                 for g in ("G4", "G6"):
-                    apply_contingency(st, ContingencyEvent(2.5, g))
+                    apply_contingency(st, ContingencyEvent(2.5, g), [0])
             levels, sec = st.shed_levels(), int(st.clock)
             step_system(st)
             if sec == int(st.clock) and not np.array_equal(st.shed_levels(), levels):
@@ -339,7 +350,7 @@ class TestInitAndStep:
         sc = Scenario(name="x", case="A", duration_s=5)
         st = init_system(four_bus, [sc], p, [build_profiles(four_bus, sc, p)])
         with pytest.raises(ValueError):
-            apply_contingency(st, ContingencyEvent(0.0, "G77"))
+            apply_contingency(st, ContingencyEvent(0.0, "G77"), [0])
 
     def test_frequency_drops_after_trip(self, ieee39):
         p = quick_params(ieee39, ufls_enabled=False)
@@ -446,37 +457,33 @@ class TestTrajectory:
 
 class TestEnsemble:
     def test_members_match_their_solo_runs_bit_for_bit(self, ieee39):
-        """Mixed seeds and cases through one batch, with a double trip
-        that sheds load: every member equals its own run_scenario."""
+        """Mixed seeds, cases and trips through one batch that sheds: the
+        members trip S1's pair, S2's pair, nothing, or G6 and G4 at
+        different steps, and each equals its own run_scenario, the largest
+        residual included."""
         p = SimParams.from_model(ieee39)
-        scenarios = [Scenario(name=f"e{case}{seed}", case=case, seed=seed,
-                              duration_s=12.0,
-                              events=(ContingencyEvent(2.0, "G4"),
-                                      ContingencyEvent(2.0, "G6")))
-                     for seed in (1, 2) for case in "AB"]
+        trips = {"S1": ((2.0, "G4"), (2.0, "G5")), "S2": ((2.0, "G4"), (2.0, "G6")),
+                 "none": (), "staggered": ((2.0, "G6"), (6.0, "G4"))}
+        scenarios = [Scenario(name=f"{name}{case}", case=case, seed=seed, duration_s=12.0,
+                              events=tuple(ContingencyEvent(*ev) for ev in events))
+                     for seed, (name, events) in enumerate(trips.items(), 1)
+                     for case in "AB"]
         batch = gf.run_ensemble(ieee39, scenarios, params=p)
         assert [tr.scenario_name for tr in batch] == [sc.name for sc in scenarios]
         assert max(tr.shed_level.max() for tr in batch) > 0.0
         for sc, tr in zip(scenarios, batch):
-            solo = run_scenario(ieee39, sc, params=p)
-            for name, value in vars(solo).items():
-                if isinstance(value, np.ndarray):
-                    # tobytes, not array_equal, which takes -0.0 for 0.0
-                    got = getattr(tr, name)
-                    assert (got.dtype, got.tobytes()) == (value.dtype, value.tobytes()), name
-                else:
-                    assert getattr(tr, name) == value, name
+            assert_same_bytes(tr, run_scenario(ieee39, sc, params=p))
 
     def test_init_rejects_members_that_cannot_share_a_step(self, four_bus):
-        """init_system itself checks the members against one schedule and
-        the grid, not only run_ensemble."""
+        """init_system itself checks the members against one horizon and
+        step and the grid, not only run_ensemble."""
         p = quick_params(four_bus)
         for scenarios in ([Scenario(name="a", case="A", duration_s=2.0, dt_s=0.01),
                            Scenario(name="b", case="B", duration_s=2.0, dt_s=0.02)],
                           [Scenario(name="a", case="A", duration_s=2.0),
                            Scenario(name="b", case="B", duration_s=4.0)]):
             profiles = [build_profiles(four_bus, sc, p) for sc in scenarios]
-            with pytest.raises(ScenarioError, match="same events"):
+            with pytest.raises(ScenarioError, match="same duration and steps"):
                 init_system(four_bus, scenarios, p, profiles)
         sc = Scenario(name="x", case="A", duration_s=2.0,
                       events=(ContingencyEvent(1.0, "G9"),))
@@ -486,11 +493,9 @@ class TestEnsemble:
     def test_members_need_one_schedule(self, four_bus):
         p = quick_params(four_bus)
         same = Scenario(name="a", case="A", duration_s=2)
-        for other in (Scenario(name="b", case="B", duration_s=3),
-                      Scenario(name="b", case="B", duration_s=2,
-                               events=(ContingencyEvent(1.0, "G2"),))):
-            with pytest.raises(ScenarioError, match="same events"):
-                gf.run_ensemble(four_bus, [same, other], params=p)
+        with pytest.raises(ScenarioError, match="same duration and steps"):
+            gf.run_ensemble(four_bus, [same, Scenario(name="b", case="B", duration_s=3)],
+                            params=p)
         with pytest.raises(ScenarioError, match="at least one"):
             gf.run_ensemble(four_bus, [], params=p)
         profiles = [build_profiles(four_bus, same, p)]
@@ -541,6 +546,16 @@ class TestInvariance:
                         lines=tuple(replace(ln, susceptance=ln.susceptance / 10.0)
                                     for ln in ieee39.lines))
         self.assert_same_answer(self.run(model), base)
+
+    def test_flat_profiles_make_case_b_case_a(self, ieee39):
+        """With the four noise sigmas at 0 every bus holds its schedule, so
+        every battery injects 0.0 and case B is case A byte for byte."""
+        a, b = gf.run_ensemble(ieee39, [
+            Scenario(name=case, case=case, duration_s=20.0,
+                     events=(ContingencyEvent(5.0, "G4"), ContingencyEvent(5.0, "G6")))
+            for case in "AB"], params=quick_params(ieee39))
+        assert not b.battery_mw.any()
+        assert_same_bytes(b, replace(a, scenario_name="B", case="B"))
 
     def test_bus_order(self, ieee39, base):
         """The buses listed in reverse order are the same grid."""

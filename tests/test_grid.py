@@ -275,7 +275,7 @@ def b_aug(ieee39):
     """IEEE-39's Laplacian plus every machine's coupling, as the engine steps it."""
     p = SimParams.from_model(ieee39)
     sc = Scenario(name="t", case="B", duration_s=1.0)
-    return init_system(ieee39, [sc], p, [build_profiles(ieee39, sc, p)])._b_aug
+    return init_system(ieee39, [sc], p, [build_profiles(ieee39, sc, p)])._b_aug[0]
 
 
 class TestInverseFactor:

@@ -223,16 +223,26 @@ class TestRepeatedKeys:
 
 
 class TestAllUnitsTripped:
-    def test_trip_of_the_last_unit_raises(self, monkeypatch, two_bus, four_bus,
-                                          ieee39):
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """The matrices the engine factors, in order."""
+        factors = []
+        monkeypatch.setattr(engine, "spla", SimpleNamespace(
+            splu=lambda b: factors.append(b) or InverseFactor(b)))
+        return factors
+
+    @staticmethod
+    def trip_state(st):
+        """What a trip changes; the factor compares by identity."""
+        return [st.online.tobytes(), st.p_mech.tobytes(), st.p_elec.tobytes(),
+                st._b_aug_lu]
+
+    def test_trip_of_the_last_unit_raises(self, factors, two_bus, four_bus, ieee39):
         """Each unit in turn: no error until the last trip, which raises
         even where the inversion alone would not (IEEE-39's bare Laplacian
         inverts to entries of about 1e13).  The failed trip changes no
         state, so the next step still balances; each trip that succeeds
         factors the network once."""
-        factors = []
-        monkeypatch.setattr(engine, "spla", SimpleNamespace(
-            splu=lambda b: factors.append(b) or InverseFactor(b)))
         for model, trips in ((two_bus, ["G1"]), (four_bus, ["G1", "G2"]),
                              (ieee39, [g.id for g in ieee39.generators])):
             params = SimParams.from_model(model, **FLAT)
@@ -240,16 +250,31 @@ class TestAllUnitsTripped:
             factors.clear()
             st = init_system(model, [sc], params, [build_profiles(model, sc, params)])
             for g in trips[:-1]:
-                apply_contingency(st, ContingencyEvent(0.0, g))
+                apply_contingency(st, ContingencyEvent(0.0, g), [0])
             assert len(factors) == len(trips)
-            before = [st.online.tobytes(), st.p_mech.tobytes(), st.p_elec.tobytes()]
-            lu = st._b_aug_lu
+            before = self.trip_state(st)
             with pytest.raises(IslandingError, match="network solve singular"):
-                apply_contingency(st, ContingencyEvent(0.0, trips[-1]))
-            assert [st.online.tobytes(), st.p_mech.tobytes(),
-                    st.p_elec.tobytes()] == before
-            assert st._b_aug_lu is lu and len(factors) == len(trips)
+                apply_contingency(st, ContingencyEvent(0.0, trips[-1]), [0])
+            assert self.trip_state(st) == before and len(factors) == len(trips)
             assert step_system(st)["balance_mw"] < 1e-9
+
+    def test_a_failed_trip_in_one_member_changes_no_member(self, factors, four_bus):
+        """Two members, G1 tripped in member 0 only: a G2 trip there would
+        leave member 0 no unit, so it raises and changes neither member;
+        the same trip in member 1 then succeeds.  Each trip that succeeds
+        factors the networks once."""
+        params = SimParams.from_model(four_bus, **FLAT)
+        scs = [Scenario(name=c, case=c, duration_s=2.0) for c in "AB"]
+        st = init_system(four_bus, scs, params,
+                         [build_profiles(four_bus, sc, params) for sc in scs])
+        apply_contingency(st, ContingencyEvent(0.0, "G1"), [0])
+        before = self.trip_state(st)
+        with pytest.raises(IslandingError, match="no unit online"):
+            apply_contingency(st, ContingencyEvent(0.0, "G2"), [0])
+        assert self.trip_state(st) == before and len(factors) == 2
+        apply_contingency(st, ContingencyEvent(0.0, "G2"), [1])
+        assert st.online.tolist() == [False, True, True, False] and len(factors) == 3
+        assert step_system(st)["balance_mw"] < 1e-9
 
     @pytest.mark.parametrize("doc, trips", [(two_bus_doc(), ["G1"]),
                                             (four_bus_doc(), ["G1", "G2"])])
